@@ -8,7 +8,7 @@
 //! parallelism the host actually offers: on a single-core runner the 2-
 //! and 4-thread rows measure the coordination overhead, not a speedup.
 
-use cqfd_chase::{ChaseBudget, Strategy};
+use cqfd_chase::ChaseBudget;
 use cqfd_core::{Cq, Signature};
 use cqfd_greenred::DeterminacyOracle;
 use cqfd_separating::theorem14::{separating_budget, t_separating};
@@ -48,31 +48,25 @@ fn main() {
 
     // fig3-grid: the lasso chase to the 1-2 pattern, the same workload as
     // the `fig3_grid/lasso_to_pattern` criterion group (so the threads=1
-    // rows are directly comparable against that group's history), under
-    // both trigger-enumeration strategies.
+    // rows are directly comparable against that group's history).
     let sys = t_separating();
     for (n, p) in [(3usize, 1usize), (4, 2), (5, 3), (6, 2)] {
         let g = lasso_model(cqfd_separating::theorem14::separating_space(), n, p);
-        for (tag, strategy) in [
-            ("naive", Strategy::Naive),
-            ("seminaive", Strategy::SemiNaive),
-        ] {
-            for threads in THREADS {
-                let budget = separating_budget(100).with_threads(threads);
-                let (median_ms, min_ms, max_ms) = time_ms(|| {
-                    let (_, _, found) = sys.chase_until_12_with(&g, &budget, strategy);
-                    assert!(found);
-                });
-                let name = format!("fig3_lasso_n{n}p{p}_{tag}");
-                println!("[E-PAR] {name} threads={threads}: median {median_ms:.3} ms");
-                rows.push(Row {
-                    name,
-                    threads,
-                    median_ms,
-                    min_ms,
-                    max_ms,
-                });
-            }
+        for threads in THREADS {
+            let budget = separating_budget(100).with_threads(threads);
+            let (median_ms, min_ms, max_ms) = time_ms(|| {
+                let (_, _, found) = sys.chase_until_12(&g, &budget);
+                assert!(found);
+            });
+            let name = format!("fig3_lasso_n{n}p{p}");
+            println!("[E-PAR] {name} threads={threads}: median {median_ms:.3} ms");
+            rows.push(Row {
+                name,
+                threads,
+                median_ms,
+                min_ms,
+                max_ms,
+            });
         }
     }
 

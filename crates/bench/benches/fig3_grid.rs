@@ -33,22 +33,6 @@ fn bench_fig3(c: &mut Criterion) {
             assert!(!found);
         });
     });
-    // Strategy ablation: naive (the paper's procedure verbatim) vs the
-    // semi-naive delta-driven enumeration, on the same fatal-grid chase.
-    for strategy in [cqfd_chase::Strategy::Naive, cqfd_chase::Strategy::SemiNaive] {
-        group.bench_with_input(
-            BenchmarkId::new("strategy_lasso_n5p2", format!("{strategy:?}")),
-            &strategy,
-            |b, &strategy| {
-                let sys = cqfd_separating::theorem14::t_separating();
-                let g = lasso_model(separating_space(), 5, 2);
-                b.iter(|| {
-                    let (_, _, found) = sys.chase_until_12_with(&g, &wide_budget(100), strategy);
-                    assert!(found);
-                });
-            },
-        );
-    }
     group.finish();
 
     // Shape series for EXPERIMENTS.md: stages/edges until pattern, by fold.

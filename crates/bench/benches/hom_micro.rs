@@ -97,7 +97,7 @@ fn main() {
         n
     });
 
-    // Delta shape: the chase's seminaive slice fully grounds the seeded
+    // Delta shape: the chase's delta-seeded slice fully grounds the seeded
     // atom (both vars of R) and caps every atom at the frozen prefix.
     let n_atoms = d.atom_count() as u32;
     let delta_limits = [n_atoms - 100, n_atoms];

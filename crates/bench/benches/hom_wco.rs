@@ -69,8 +69,9 @@ fn main() {
 
     // fig3-grid: chase T from lasso(n, p) to the 1-2 pattern at one
     // thread, so engine differences are not masked by parallelism. The
-    // legacy threads=1 seminaive rows of BENCH_chase.json are the same
-    // workload, which makes the two trajectory files cross-checkable.
+    // threads=1 rows of BENCH_chase.json are the same workload on the
+    // default engine, which makes the two trajectory files
+    // cross-checkable.
     for (n, p) in [(3usize, 1usize), (4, 2), (5, 3), (6, 2)] {
         for engine in ENGINES {
             let budget = separating_budget(100)

@@ -8,7 +8,7 @@
 //! EXPERIMENTS.md §E-LINT quotes), including the analysis∶chase ratio.
 
 use cqfd_analysis::analyze_tgds;
-use cqfd_chase::{Strategy, Termination};
+use cqfd_chase::Termination;
 use cqfd_greenred::DeterminacyOracle;
 use cqfd_separating::theorem14::{separating_budget, separating_space, t_separating};
 use cqfd_separating::tinf::lasso_model;
@@ -106,7 +106,7 @@ fn main() {
         let g = lasso_model(separating_space(), n, p);
         let budget = separating_budget(100);
         let sample = time_ms(|| {
-            let (_, _, found) = sys.chase_until_12_with(&g, &budget, Strategy::SemiNaive);
+            let (_, _, found) = sys.chase_until_12(&g, &budget);
             assert!(found);
         });
         chase_medians.push(sample.0);

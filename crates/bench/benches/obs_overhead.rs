@@ -18,7 +18,6 @@
 //!    emit `BENCH_flight.json` at the repo root; CI gates the overhead
 //!    ratio at ≤ 2% of the mean chase cost.
 
-use cqfd_chase::Strategy;
 use cqfd_obs::{span, Registry, Unit};
 use cqfd_separating::theorem14::{
     chase_from_lasso, separating_budget, separating_space, t_separating,
@@ -123,7 +122,7 @@ fn bench_flight_overhead(_c: &mut Criterion) {
         let g = lasso_model(separating_space(), n, p);
         let budget = separating_budget(100);
         let run = || {
-            let (_, _, found) = sys.chase_until_12_with(&g, &budget, Strategy::SemiNaive);
+            let (_, _, found) = sys.chase_until_12(&g, &budget);
             assert!(found);
         };
         // Interleave baseline and flight samples so allocator and cache

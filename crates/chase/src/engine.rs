@@ -261,7 +261,7 @@ impl ChaseMeters {
                     (
                         reg.counter(
                             "cqfd_chase_triggers_total",
-                            "Distinct frontier tuples with a body match enumerated, per rule.",
+                            "Distinct frontier tuples enumerated per rule: through the previous stage's atoms, or in a full pass over the snapshot.",
                             &[("rule", t.name())],
                         ),
                         reg.counter(
@@ -390,25 +390,6 @@ impl ChaseRun {
     }
 }
 
-/// Trigger-enumeration strategy for the chase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Re-enumerate all body matches over the frozen snapshot each stage —
-    /// the paper's procedure, verbatim. The default.
-    #[default]
-    Naive,
-    /// Semi-naive (delta-driven): enumerate only matches that use at least
-    /// one atom added in the previous stage, seeding each pattern atom on
-    /// the delta in turn with earlier atoms restricted to older prefixes
-    /// so each match is found exactly once. Sound because trigger
-    /// satisfaction is monotone under the chase (once a trigger's head is
-    /// witnessed it stays witnessed). Faster on long runs; within a stage
-    /// the triggers may be *applied in a different order* than the naive
-    /// strategy, so the two chases can produce different (always
-    /// hom-equivalent, both universal) structures.
-    SemiNaive,
-}
-
 /// A stage-boundary snapshot a chase run can resume from: the structure
 /// at the boundary plus the completed per-stage history. Produced by
 /// replaying a write-ahead stage log (see `cqfd-store`); consumed by
@@ -461,13 +442,12 @@ pub struct ChaseHooks<'a> {
 #[derive(Debug, Clone)]
 pub struct ChaseEngine {
     tgds: Vec<Tgd>,
-    strategy: Strategy,
     record: bool,
     termination: Termination,
 }
 
 impl ChaseEngine {
-    /// Creates an engine over the given dependencies (naive strategy).
+    /// Creates an engine over the given dependencies.
     /// Runs the static weak-acyclicity test once, up front; the verdict is
     /// available through [`termination`](Self::termination) and stamped on
     /// every [`ChaseRun`].
@@ -475,16 +455,9 @@ impl ChaseEngine {
         let termination = Termination::analyze(&tgds);
         ChaseEngine {
             tgds,
-            strategy: Strategy::Naive,
             record: false,
             termination,
         }
-    }
-
-    /// Selects the trigger-enumeration strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Enables (or disables) recording of applied triggers into
@@ -595,9 +568,9 @@ impl ChaseEngine {
             run.outcome = ChaseOutcome::MonitorStopped;
             return finish(run, d);
         }
-        // Snapshot boundary of the previous stage (what the semi-naive
-        // delta is measured against): for stage k+1 it is the atom count
-        // at *entry* of stage k.
+        // Snapshot boundary of the previous stage (what each stage's delta
+        // is measured against): for stage k+1 it is the atom count at
+        // *entry* of stage k.
         let done = run.stages.len();
         let mut prev_frozen: u32 = match done {
             0 => 0,
@@ -675,15 +648,16 @@ impl ChaseEngine {
     }
 
     /// One chase stage (the `forall pairs T, b̄ …` loop of §II.C), in two
-    /// phases. **Phase A** enumerates the distinct frontier tuples b̄ with a
-    /// body match in the frozen snapshot, one slice per TGD (naive) or per
-    /// `(TGD, delta-seed-position)` (semi-naive); slices are independent
-    /// read-only searches, so with `budget.threads > 1` they fan out over a
-    /// scoped worker pool and merge back in deterministic `(TGD, slice)`
-    /// order. Head satisfaction is pre-checked against the frozen snapshot
-    /// in the same pass. **Phase B** walks the merged frontiers in order
-    /// and applies the active triggers sequentially (application mutates
-    /// `d`), re-checking non-pre-satisfied heads against the live `D`.
+    /// phases. **Phase A** enumerates the distinct frontier tuples b̄ of
+    /// the body matches that can still be active triggers, in the slices
+    /// [`plan_slices`](Self::plan_slices) lays out; slices are independent
+    /// read-only searches over the frozen snapshot, so with
+    /// `budget.threads > 1` they fan out over a scoped worker pool and
+    /// merge back in deterministic `(TGD, slice)` order. Head satisfaction
+    /// is pre-checked against the frozen snapshot in the same pass.
+    /// **Phase B** walks the merged frontiers in order and applies the
+    /// active triggers sequentially (application mutates `d`), re-checking
+    /// non-pre-satisfied heads against the live `D`.
     ///
     /// Returns `(applications, early_stop)` where `early_stop` reports a
     /// mid-stage budget violation ([`ChaseOutcome::SizeBudgetExhausted`] or
@@ -691,9 +665,8 @@ impl ChaseEngine {
     /// applies nothing: the structure is left exactly at the previous
     /// stage boundary, so the run is a valid chase prefix.
     ///
-    /// `prev_frozen` is the snapshot boundary of the previous stage; the
-    /// semi-naive strategy only enumerates matches touching the delta
-    /// `[prev_frozen, frozen)`.
+    /// `prev_frozen` is the snapshot boundary of the previous stage: the
+    /// atoms `[prev_frozen, frozen)` are the ones that stage added.
     fn run_stage(
         &self,
         d: &mut Structure,
@@ -716,10 +689,63 @@ impl ChaseEngine {
         res
     }
 
+    /// Lays out a stage's enumeration slices.
+    ///
+    /// A body match that uses no atom the previous stage added lay in that
+    /// stage's snapshot, so that stage enumerated it and left its head
+    /// satisfied: pre-satisfied, satisfied by an earlier application, or
+    /// applied. Satisfaction is monotone, so the match is no active
+    /// trigger now. Only matches through the delta `[prev_frozen, frozen)`
+    /// can be, and each stage applies exactly the triggers of the paper's
+    /// full re-enumeration, in the same canonical order.
+    ///
+    /// Per TGD, each body position whose predicate gained atoms becomes
+    /// one slice seeded on those atoms (a `partition_point` range of the
+    /// predicate's ascending row list). When the delta is at least half
+    /// the rows of the body's predicates, one unseeded pass over the
+    /// snapshot costs less than the seeded ones; it finds the same active
+    /// triggers, plus old tuples the head pre-check skips. A TGD whose
+    /// body predicates gained nothing gets no slice, and no plan is
+    /// compiled for it.
+    fn plan_slices<'a>(&self, d: &'a Structure, prev_frozen: u32, frozen: u32) -> Vec<Slice<'a>> {
+        let mut slices = Vec::new();
+        for (ti, tgd) in self.tgds.iter().enumerate() {
+            let body = tgd.body();
+            if body.is_empty() {
+                // The empty match uses no atom, so it is new only when
+                // every atom is (`prev_frozen == 0`, the first stage).
+                if prev_frozen == 0 {
+                    slices.push(Slice { ti, seed: None });
+                }
+                continue;
+            }
+            let first = slices.len();
+            let (mut delta, mut rows) = (0usize, 0usize);
+            for (k, atom) in body.iter().enumerate() {
+                let index = d.pred_index(atom.pred);
+                let lo = index.partition_point(|&r| r < prev_frozen);
+                let hi = index.partition_point(|&r| r < frozen);
+                delta += hi - lo;
+                rows += hi;
+                if hi > lo {
+                    slices.push(Slice {
+                        ti,
+                        seed: Some((k, &index[lo..hi])),
+                    });
+                }
+            }
+            if delta > 0 && 2 * delta >= rows {
+                slices.truncate(first);
+                slices.push(Slice { ti, seed: None });
+            }
+        }
+        slices
+    }
+
     /// Phase A: enumerates every slice of the stage against the frozen
-    /// snapshot and merges the results per TGD, deduplicated, in `(TGD,
-    /// slice, discovery)` order. Returns `None` if the budget's stop hook
-    /// fired mid-enumeration (nothing was applied).
+    /// snapshot and merges the results into one sorted, deduplicated
+    /// frontier per TGD. Returns `None` if the budget's stop hook fired
+    /// mid-enumeration (nothing was applied).
     fn enumerate_stage(
         &self,
         d: &Structure,
@@ -728,22 +754,7 @@ impl ChaseEngine {
         frozen: u32,
         meters: &ChaseMeters,
     ) -> Option<Vec<Vec<Frontier>>> {
-        let slices: Vec<Slice> = match self.strategy {
-            Strategy::Naive => (0..self.tgds.len())
-                .map(|ti| Slice { ti, seed_pos: None })
-                .collect(),
-            Strategy::SemiNaive => self
-                .tgds
-                .iter()
-                .enumerate()
-                .flat_map(|(ti, t)| {
-                    (0..t.body().len()).map(move |k| Slice {
-                        ti,
-                        seed_pos: Some(k),
-                    })
-                })
-                .collect(),
-        };
+        let slices = self.plan_slices(d, prev_frozen, frozen);
         let abort = AtomicBool::new(false);
         let workers = budget.threads.max(1).min(slices.len().max(1));
         let mut results: Vec<Option<Vec<Frontier>>> = Vec::with_capacity(slices.len());
@@ -813,58 +824,46 @@ impl ChaseEngine {
         if abort.load(Ordering::Relaxed) || budget.should_stop() {
             return None;
         }
-        // Merge back per TGD. Per-slice results are already deduplicated;
-        // cross-slice duplicates (a match whose atoms span several delta
-        // positions) keep the lexicographically least recorded assignment.
-        // Each TGD's merged frontier is then **canonicalised**: sorted by
-        // frontier tuple. Tuples are distinct after dedup, so the sorted
-        // sequence — and with it application order, fresh-node allocation,
-        // recorded firings, every downstream artifact — depends only on
-        // the *set* of matches, never on enumeration order. This is what
-        // makes the chase byte-identical across hom engines (and, as
-        // before, across thread counts).
+        // Merge back per TGD, then **canonicalise** each TGD's frontier:
+        // sort by frontier tuple and drop cross-slice duplicates (a match
+        // whose atoms span several delta positions), keeping the
+        // lexicographically least recorded assignment. The sorted,
+        // distinct sequence — and with it application order, fresh-node
+        // allocation, recorded firings, every downstream artifact —
+        // depends only on the *set* of matches, never on enumeration
+        // order or slicing. This is what makes the chase byte-identical
+        // across hom engines, thread counts and the paper's naive stages.
         let mut merged: Vec<Vec<Frontier>> = (0..self.tgds.len()).map(|_| Vec::new()).collect();
-        let mut slices_per_tgd = vec![0usize; self.tgds.len()];
-        for s in &slices {
-            slices_per_tgd[s.ti] += 1;
-        }
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut cur = usize::MAX;
         for (slice, res) in slices.iter().zip(results) {
             let frontiers = res.expect("uncancelled stage enumerated every slice");
-            if slices_per_tgd[slice.ti] == 1 {
-                merged[slice.ti] = frontiers;
-                continue;
-            }
-            if slice.ti != cur {
-                buckets.clear();
-                cur = slice.ti;
-            }
             let dst = &mut merged[slice.ti];
-            for f in frontiers {
-                let bucket = buckets.entry(hash_tuple(&f.tuple)).or_default();
-                if let Some(&j) = bucket.iter().find(|&&j| dst[j as usize].tuple == f.tuple) {
-                    if let (Some(cur), Some(cand)) = (dst[j as usize].full_map.as_mut(), f.full_map)
-                    {
-                        if cand < *cur {
-                            *cur = cand;
-                        }
-                    }
-                    continue;
-                }
-                bucket.push(dst.len() as u32);
-                dst.push(f);
+            if dst.is_empty() {
+                *dst = frontiers;
+            } else {
+                dst.extend(frontiers);
             }
         }
         for dst in &mut merged {
             dst.sort_unstable_by(|a, b| a.tuple.cmp(&b.tuple));
+            dst.dedup_by(|dup, kept| {
+                if dup.tuple != kept.tuple {
+                    return false;
+                }
+                if let (Some(least), Some(cand)) = (kept.full_map.as_mut(), dup.full_map.take()) {
+                    if cand < *least {
+                        *least = cand;
+                    }
+                }
+                true
+            });
         }
         Some(merged)
     }
 
-    /// Enumerates one slice: the distinct frontier tuples of one TGD
-    /// (naive) or of one `(TGD, delta-seed-position)` (semi-naive) against
-    /// the frozen snapshot, each with its frozen-snapshot head pre-check.
+    /// Enumerates one slice: the distinct frontier tuples of one TGD's
+    /// body matches in the frozen snapshot (unseeded), or of those whose
+    /// seed position maps to one of the slice's delta rows, each with its
+    /// frozen-snapshot head pre-check.
     /// Read-only on `d`; safe to run from any worker thread. Sets `abort`
     /// and returns early (with a result that must be discarded) when the
     /// budget's stop hook fires.
@@ -874,7 +873,7 @@ impl ChaseEngine {
         budget: &ChaseBudget,
         prev_frozen: u32,
         frozen: u32,
-        slice: Slice,
+        slice: Slice<'_>,
         abort: &AtomicBool,
     ) -> Vec<Frontier> {
         let tgd = &self.tgds[slice.ti];
@@ -955,26 +954,27 @@ impl ChaseEngine {
             });
             ControlFlow::Continue(())
         };
-        match slice.seed_pos {
+        match slice.seed {
             None => {
                 let limits = vec![frozen; body.len()];
                 let _ = body_plan.for_each_bindings(&[], &limits, &mut record);
             }
-            Some(k) => {
-                // Every match with at least one body atom in the delta,
-                // exactly once: seed position k directly on each delta
-                // atom; atoms before k come from the old prefix, atoms
-                // after k from the whole snapshot. (Atoms are
-                // deduplicated, so "uses a delta atom at position k"
-                // is exactly "position k's image was added this stage".)
+            Some((k, rows)) => {
+                // Across the TGD's seeded slices, every match with at
+                // least one body atom in the delta, exactly once: seed
+                // position k directly on each delta row; atoms before k
+                // come from the old prefix, atoms after k from the whole
+                // snapshot. (Atoms are deduplicated, so "uses a delta atom
+                // at position k" is exactly "position k's image was added
+                // by the previous stage".)
                 let pattern_atom = &body[k];
                 let mut limits: Vec<u32> = vec![prev_frozen; body.len()];
                 for l in limits.iter_mut().skip(k) {
                     *l = frozen;
                 }
                 // Resolve the seed atom's argument shape once: the
-                // per-row unification below runs for every delta atom of
-                // the stage and must not pay a slot-map lookup each time.
+                // per-row unification below runs for every delta row and
+                // must not pay a slot-map lookup each time.
                 let seed_args: Vec<SeedArg> = pattern_atom
                     .args
                     .iter()
@@ -988,15 +988,11 @@ impl ChaseEngine {
                     })
                     .collect();
                 let mut seeds: Vec<(u32, Node)> = Vec::with_capacity(pattern_atom.args.len());
-                for idx in prev_frozen..frozen {
+                for &row in rows {
                     if abort.load(Ordering::Relaxed) {
                         break;
                     }
-                    let ground = &d.atoms()[idx as usize];
-                    if ground.pred != pattern_atom.pred {
-                        continue;
-                    }
-                    if !unify_seed_args(&seed_args, ground, &mut seeds) {
+                    if !unify_seed_args(&seed_args, d.args_of(row), &mut seeds) {
                         continue;
                     }
                     let _ = body_plan.for_each_bindings(&seeds, &limits, &mut record);
@@ -1067,9 +1063,6 @@ impl ChaseEngine {
 
     /// Applies one active trigger: `D := D(T, b̄)` — a fresh copy of `A[Ψ]`
     /// glued to the old structure along the frontier (§II.B).
-    ///
-    /// (See also [`unify_seed_args`] below, the seeding step of the
-    /// semi-naive strategy.)
     fn apply(&self, tgd: &Tgd, fixed: &VarMap, d: &mut Structure) {
         let mut assignment = fixed.clone();
         for &v in tgd.existential() {
@@ -1149,12 +1142,14 @@ impl ChaseEngine {
 /// accumulated (credited to the coordinating thread's counter).
 type WorkerYield = (Vec<(usize, Vec<Frontier>)>, u64);
 
-/// One parallelisable enumeration slice of a chase stage: a TGD and, under
-/// the semi-naive strategy, the body position seeded on the delta.
+/// One parallelisable enumeration slice of a chase stage: a TGD and,
+/// unless the slice is one unseeded pass over the snapshot, the body
+/// position seeded on the previous stage's atoms with its predicate's
+/// delta rows.
 #[derive(Clone, Copy)]
-struct Slice {
+struct Slice<'a> {
     ti: usize,
-    seed_pos: Option<usize>,
+    seed: Option<(usize, &'a [u32])>,
 }
 
 /// One distinct frontier tuple found in phase A, bundled with everything
@@ -1223,16 +1218,12 @@ enum SeedArg {
     Slot(u32),
 }
 
-/// Unifies a ground atom against the pre-resolved seed shape directly
-/// into plan-slot seeds (clearing `seeds` first): returns `false` on a
-/// constant/repeated-variable mismatch.
-fn unify_seed_args(
-    seed_args: &[SeedArg],
-    ground: &cqfd_core::GroundAtom,
-    seeds: &mut Vec<(u32, Node)>,
-) -> bool {
+/// Unifies a ground atom's arguments against the pre-resolved seed shape
+/// directly into plan-slot seeds (clearing `seeds` first): returns `false`
+/// on a constant/repeated-variable mismatch.
+fn unify_seed_args(seed_args: &[SeedArg], args: &[Node], seeds: &mut Vec<(u32, Node)>) -> bool {
     seeds.clear();
-    for (sa, &n) in seed_args.iter().zip(&ground.args) {
+    for (sa, &n) in seed_args.iter().zip(args) {
         match sa {
             SeedArg::Const(c) => {
                 if *c != Some(n) {
@@ -1443,23 +1434,15 @@ mod tests {
         for w in ns.windows(2) {
             d.add(r, vec![w[0], w[1]]);
         }
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let engine = ChaseEngine::new(vec![t1.clone(), t2.clone()])
-                .with_strategy(strategy)
-                .with_recording(true);
-            let seq = engine.chase(&d, &ChaseBudget::stages(6));
-            for threads in [2, 4, 8] {
-                let par = engine.chase(&d, &ChaseBudget::stages(6).with_threads(threads));
-                assert_eq!(
-                    seq.structure.atoms(),
-                    par.structure.atoms(),
-                    "{strategy:?} t={threads}"
-                );
-                assert_eq!(seq.stages, par.stages, "{strategy:?} t={threads}");
-                assert_eq!(seq.firings, par.firings, "{strategy:?} t={threads}");
-                assert_eq!(seq.outcome, par.outcome, "{strategy:?} t={threads}");
-                assert_eq!(seq.hom_nodes, par.hom_nodes, "{strategy:?} t={threads}");
-            }
+        let engine = ChaseEngine::new(vec![t1, t2]).with_recording(true);
+        let seq = engine.chase(&d, &ChaseBudget::stages(6));
+        for threads in [2, 4, 8] {
+            let par = engine.chase(&d, &ChaseBudget::stages(6).with_threads(threads));
+            assert_eq!(seq.structure.atoms(), par.structure.atoms(), "t={threads}");
+            assert_eq!(seq.stages, par.stages, "t={threads}");
+            assert_eq!(seq.firings, par.firings, "t={threads}");
+            assert_eq!(seq.outcome, par.outcome, "t={threads}");
+            assert_eq!(seq.hom_nodes, par.hom_nodes, "t={threads}");
         }
     }
 
@@ -1562,55 +1545,81 @@ mod tests {
 }
 
 #[cfg(test)]
-mod seminaive_tests {
+mod delta_tests {
+    //! Exact stage-by-stage expectations for the delta-driven stages,
+    //! worked out by hand from the paper's full re-enumeration (§II.C).
+    //! `crates/chase/tests/naive_reference.rs` checks the same equality
+    //! against an executable naive stage loop on larger inputs.
     use super::*;
-    use cqfd_core::{structure_homomorphism, Atom, Signature, Var};
+    use cqfd_core::{Atom, GroundAtom, PredId, Signature, Var};
     use std::sync::Arc;
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
     }
 
-    fn engines(tgds: Vec<Tgd>) -> (ChaseEngine, ChaseEngine) {
-        (
-            ChaseEngine::new(tgds.clone()),
-            ChaseEngine::new(tgds).with_strategy(Strategy::SemiNaive),
-        )
+    fn ga(p: PredId, args: &[u32]) -> GroundAtom {
+        GroundAtom::new(p, args.iter().map(|&n| Node(n)).collect())
     }
 
-    #[test]
-    fn strategies_agree_on_terminating_chase() {
-        let mut sig = Signature::new();
-        let r = sig.add_predicate("R", 2);
-        let sig = Arc::new(sig);
-        // transitive closure + a symmetrizing existential rule
-        let t1 = Tgd::new_unchecked(
+    fn stage(applications: usize, atoms_after: usize, nodes_after: u32) -> StageInfo {
+        StageInfo {
+            applications,
+            atoms_after,
+            nodes_after,
+        }
+    }
+
+    fn trans(r: PredId) -> Tgd {
+        Tgd::new_unchecked(
             "trans",
             vec![
                 Atom::new(r, vec![v(0), v(1)]),
                 Atom::new(r, vec![v(1), v(2)]),
             ],
             vec![Atom::new(r, vec![v(0), v(2)])],
-        );
-        let (naive, semi) = engines(vec![t1]);
+        )
+    }
+
+    #[test]
+    fn transitive_closure_stages_are_exact() {
+        let mut sig = Signature::new();
+        let r = sig.add_predicate("R", 2);
+        let sig = Arc::new(sig);
+        let engine = ChaseEngine::new(vec![trans(r)]);
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..5).map(|_| d.fresh_node()).collect();
         for w in ns.windows(2) {
             d.add(r, vec![w[0], w[1]]);
         }
-        let rn = naive.chase(&d, &ChaseBudget::default());
-        let rs = semi.chase(&d, &ChaseBudget::default());
-        assert!(rn.reached_fixpoint() && rs.reached_fixpoint());
-        // Full TGDs: results must be literally equal as atom sets.
-        assert_eq!(rn.structure.atom_count(), rs.structure.atom_count());
-        for a in rn.structure.atoms() {
-            assert!(rs.structure.contains_atom(a));
-        }
-        assert!(naive.is_model(&rs.structure));
+        let run = engine.chase(&d, &ChaseBudget::default());
+        assert_eq!(run.outcome, ChaseOutcome::Fixpoint);
+        // Stage 1 closes paths of length 2, sorted by frontier tuple;
+        // stage 2 those of length 3 and 4; stage 3 finds nothing new.
+        let expected: Vec<GroundAtom> = [
+            [0, 1],
+            [1, 2],
+            [2, 3],
+            [3, 4],
+            [0, 2],
+            [1, 3],
+            [2, 4],
+            [0, 3],
+            [0, 4],
+            [1, 4],
+        ]
+        .iter()
+        .map(|a| ga(r, a))
+        .collect();
+        assert_eq!(run.structure.atoms(), &expected[..]);
+        assert_eq!(
+            run.stages,
+            vec![stage(3, 7, 5), stage(3, 10, 5), stage(0, 10, 5)]
+        );
     }
 
     #[test]
-    fn strategies_agree_on_existential_chase_up_to_homs() {
+    fn existential_chase_stages_are_exact() {
         let mut sig = Signature::new();
         let r = sig.add_predicate("R", 2);
         let s = sig.add_predicate("S", 2);
@@ -1627,25 +1636,42 @@ mod seminaive_tests {
             vec![Atom::new(s, vec![v(0), v(1)])],
             vec![Atom::new(r, vec![v(0), v(0)])],
         );
-        let (naive, semi) = engines(vec![t1, t2]);
+        let engine = ChaseEngine::new(vec![t1, t2]).with_recording(true);
         let mut d = Structure::new(Arc::clone(&sig));
         let x = d.fresh_node();
         let y = d.fresh_node();
         d.add(r, vec![x, y]);
-        let rn = naive.chase(&d, &ChaseBudget::default());
-        let rs = semi.chase(&d, &ChaseBudget::default());
-        assert!(rn.reached_fixpoint() && rs.reached_fixpoint());
-        assert!(naive.is_model(&rs.structure));
-        assert!(semi.is_model(&rn.structure));
-        // Universal models of the same instance: hom-equivalent.
-        assert!(structure_homomorphism(&rn.structure, &rs.structure).is_some());
-        assert!(structure_homomorphism(&rs.structure, &rn.structure).is_some());
+        let run = engine.chase(&d, &ChaseBudget::default());
+        assert_eq!(run.outcome, ChaseOutcome::Fixpoint);
+        assert_eq!(
+            run.structure.atoms(),
+            &[ga(r, &[0, 1]), ga(s, &[1, 2]), ga(r, &[1, 1])]
+        );
+        assert_eq!(
+            run.stages,
+            vec![stage(1, 2, 3), stage(1, 3, 3), stage(0, 3, 3)]
+        );
+        assert_eq!(
+            run.firings,
+            vec![
+                Firing {
+                    stage: 1,
+                    tgd: 0,
+                    assignment: vec![(Var(0), x), (Var(1), y)],
+                },
+                Firing {
+                    stage: 2,
+                    tgd: 1,
+                    assignment: vec![(Var(0), y), (Var(1), Node(2))],
+                },
+            ]
+        );
     }
 
     #[test]
-    fn seminaive_matches_naive_stage_counts_on_tinf_like_system() {
-        // A single-trigger-per-stage system (like T∞): the two strategies
-        // must take identical stages.
+    fn single_trigger_stages_are_exact() {
+        // A single-trigger-per-stage system (like T∞): one new atom per
+        // stage, so from stage 3 on the delta is small and seeded.
         let mut sig = Signature::new();
         let r = sig.add_predicate("R", 2);
         let sig = Arc::new(sig);
@@ -1654,19 +1680,62 @@ mod seminaive_tests {
             vec![Atom::new(r, vec![v(0), v(1)])],
             vec![Atom::new(r, vec![v(1), v(2)])],
         );
-        let (naive, semi) = engines(vec![t]);
+        let engine = ChaseEngine::new(vec![t]);
         let mut d = Structure::new(Arc::clone(&sig));
         let x = d.fresh_node();
         let y = d.fresh_node();
         d.add(r, vec![x, y]);
-        let rn = naive.chase(&d, &ChaseBudget::stages(12));
-        let rs = semi.chase(&d, &ChaseBudget::stages(12));
-        assert_eq!(rn.stages, rs.stages);
-        assert_eq!(rn.structure.atoms(), rs.structure.atoms());
+        let run = engine.chase(&d, &ChaseBudget::stages(12));
+        assert_eq!(run.outcome, ChaseOutcome::StageBudgetExhausted);
+        let path: Vec<GroundAtom> = (0..13).map(|i| ga(r, &[i, i + 1])).collect();
+        assert_eq!(run.structure.atoms(), &path[..]);
+        let expected: Vec<StageInfo> = (1..=12).map(|k| stage(1, k + 1, k as u32 + 2)).collect();
+        assert_eq!(run.stages, expected);
     }
 
     #[test]
-    fn seminaive_is_deterministic() {
+    fn slices_cover_only_the_delta() {
+        let mut sig = Signature::new();
+        let r = sig.add_predicate("R", 2);
+        let s = sig.add_predicate("S", 2);
+        let sig = Arc::new(sig);
+        let only_s = Tgd::new_unchecked(
+            "only_s",
+            vec![Atom::new(s, vec![v(0), v(1)])],
+            vec![Atom::new(r, vec![v(0), v(1)])],
+        );
+        let empty_body = Tgd::new_unchecked("empty", vec![], vec![Atom::new(s, vec![v(0), v(1)])]);
+        let engine = ChaseEngine::new(vec![trans(r), only_s, empty_body]);
+        let mut d = Structure::new(Arc::clone(&sig));
+        let ns: Vec<Node> = (0..6).map(|_| d.fresh_node()).collect();
+        for w in ns.windows(2) {
+            d.add(r, vec![w[0], w[1]]);
+        }
+        // Renders slices as `tgd:full` or `tgd:k<position>@<delta rows>`.
+        let shape = |slices: Vec<Slice<'_>>| -> Vec<String> {
+            slices
+                .iter()
+                .map(|sl| match sl.seed {
+                    None => format!("{}:full", sl.ti),
+                    Some((k, rows)) => format!("{}:k{k}@{rows:?}", sl.ti),
+                })
+                .collect()
+        };
+        // First stage: everything is new, one full pass per TGD with a
+        // match to find (the S body has no rows, so no slice at all).
+        assert_eq!(shape(engine.plan_slices(&d, 0, 5)), ["0:full", "2:full"]);
+        // One new R atom among five: seeded at both body positions; the
+        // S-bodied TGD gained nothing and the empty match is old.
+        assert_eq!(
+            shape(engine.plan_slices(&d, 4, 5)),
+            ["0:k0@[4]", "0:k1@[4]"]
+        );
+        // Three new R atoms among five: 6 of 10 body rows, one full pass.
+        assert_eq!(shape(engine.plan_slices(&d, 2, 5)), ["0:full"]);
+    }
+
+    #[test]
+    fn delta_stages_are_deterministic() {
         let mut sig = Signature::new();
         let r = sig.add_predicate("R", 2);
         let s = sig.add_predicate("S", 2);
@@ -1684,13 +1753,13 @@ mod seminaive_tests {
             vec![Atom::new(r, vec![v(0), v(1)])],
             vec![Atom::new(s, vec![v(0), v(2)])],
         );
-        let semi = ChaseEngine::new(vec![t1, t2]).with_strategy(Strategy::SemiNaive);
+        let engine = ChaseEngine::new(vec![t1, t2]);
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..3).map(|_| d.fresh_node()).collect();
         d.add(r, vec![ns[0], ns[1]]);
         d.add(s, vec![ns[1], ns[2]]);
-        let r1 = semi.chase(&d, &ChaseBudget::stages(8));
-        let r2 = semi.chase(&d, &ChaseBudget::stages(8));
+        let r1 = engine.chase(&d, &ChaseBudget::stages(8));
+        let r2 = engine.chase(&d, &ChaseBudget::stages(8));
         assert_eq!(r1.structure.atoms(), r2.structure.atoms());
         assert_eq!(r1.stages, r2.stages);
     }

@@ -57,7 +57,7 @@ pub mod tgd;
 
 pub use engine::{
     ChaseBudget, ChaseEngine, ChaseHooks, ChaseOutcome, ChaseRun, CheckpointFn, Firing,
-    ResumePoint, StageInfo, Strategy,
+    ResumePoint, StageInfo,
 };
 pub use termination::{PredPos, Termination};
 pub use tgd::Tgd;

@@ -285,9 +285,10 @@ pub fn for_each_homomorphism_limited<B>(
 }
 
 /// The most general matching mode: a separate insertion-order candidate cap
-/// per pattern atom. Used by the semi-naive chase strategy, which seeds one
-/// atom on the newest stage's delta and restricts earlier pattern atoms to
-/// older prefixes so every trigger is enumerated exactly once.
+/// per pattern atom. The shape of the chase's delta-seeded slices, which
+/// seed one atom on the previous stage's delta and restrict earlier
+/// pattern atoms to older prefixes so every trigger is enumerated exactly
+/// once.
 pub fn for_each_homomorphism_per_atom_limits<B>(
     pattern: &[Atom<Term>],
     target: &Structure,

@@ -184,19 +184,7 @@ impl L2System {
         g: &GreenGraph,
         budget: &ChaseBudget,
     ) -> (GreenGraph, ChaseRun, bool) {
-        self.chase_until_12_with(g, budget, cqfd_chase::Strategy::Naive)
-    }
-
-    /// [`L2System::chase_until_12`] with an explicit chase strategy (the
-    /// semi-naive strategy is markedly faster on large grid chases; see
-    /// the `fig3_grid` ablation bench).
-    pub fn chase_until_12_with(
-        &self,
-        g: &GreenGraph,
-        budget: &ChaseBudget,
-        strategy: cqfd_chase::Strategy,
-    ) -> (GreenGraph, ChaseRun, bool) {
-        let engine = self.engine(g.space()).with_strategy(strategy);
+        let engine = self.engine(g.space());
         let space = Arc::clone(g.space());
         let run = engine.chase_with_monitor(g.structure(), budget, |st, _| {
             has_12_in_structure(&space, st)

@@ -253,35 +253,3 @@ mod debug_tests {
         println!("has TWO: {}", out.edges_with(Label::TWO).count());
     }
 }
-
-#[cfg(test)]
-mod strategy_tests {
-    use super::*;
-    use crate::tinf::lasso_model;
-    use cqfd_chase::Strategy;
-
-    /// The semi-naive chase strategy reaches the same Theorem 14 verdicts:
-    /// pattern from the fold, no pattern from DI.
-    #[test]
-    fn seminaive_strategy_agrees_on_theorem14() {
-        let sys = t_separating();
-        let budget = ChaseBudget {
-            max_stages: 60,
-            max_atoms: 1 << 22,
-            max_nodes: 1 << 22,
-            ..ChaseBudget::default()
-        };
-        let lasso = lasso_model(separating_space(), 3, 1);
-        let (_, _, found) = sys.chase_until_12_with(&lasso, &budget, Strategy::SemiNaive);
-        assert!(found, "semi-naive must find the pattern too");
-        let di = GreenGraph::di(separating_space());
-        let small = ChaseBudget {
-            max_stages: 10,
-            max_atoms: 1 << 22,
-            max_nodes: 1 << 22,
-            ..ChaseBudget::default()
-        };
-        let (_, _, found) = sys.chase_until_12_with(&di, &small, Strategy::SemiNaive);
-        assert!(!found, "and must stay clean on DI");
-    }
-}

@@ -8,9 +8,13 @@
 //! Phase B applies sequentially), so we check it the hard way: exact
 //! equality on everything a `ChaseRun` records, over the Theorem 14
 //! separating rules, two rainworm rule families, and random green-red
-//! instances, at 1, 2 and 4 threads and under both strategies.
+//! instances, at 1, 2 and 4 threads, and against the paper's naive
+//! stage loop.
 
-use cqfd::chase::{ChaseBudget, ChaseOutcome, ChaseRun, Strategy};
+#[path = "../crates/chase/tests/naive/mod.rs"]
+mod naive;
+
+use cqfd::chase::{ChaseBudget, ChaseOutcome, ChaseRun};
 use cqfd::greengraph::{GreenGraph, L2System, Label, LabelSpace};
 use cqfd::rainworm::families::{counter_worm, forever_worm};
 use cqfd::rainworm::to_rules::tm_rules;
@@ -25,10 +29,7 @@ use std::time::Duration;
 /// Chases `g` under `sys` with recording on and the given thread count.
 fn chase_threads(sys: &L2System, g: &GreenGraph, stages: usize, threads: usize) -> ChaseRun {
     let budget = separating_budget(stages).with_threads(threads);
-    let engine = sys
-        .engine(g.space())
-        .with_strategy(Strategy::SemiNaive)
-        .with_recording(true);
+    let engine = sys.engine(g.space()).with_recording(true);
     engine.chase(g.structure(), &budget)
 }
 
@@ -91,10 +92,9 @@ fn rainworm_chases_are_thread_count_invariant() {
     }
 }
 
-// Both strategies must individually be thread-count invariant. (Naive and
-// semi-naive are *not* byte-identical to each other — they enumerate
-// matches in different orders — so each strategy is compared against its
-// own single-threaded baseline, plus a semantic cross-check.)
+// Every thread count gives the single-threaded run, and that run is the
+// paper's naive stage loop byte for byte: the delta-driven stages apply
+// the same triggers in the same order.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -106,44 +106,15 @@ proptest! {
     ) {
         let sys = t_separating();
         let g = lasso_model(cqfd::separating::theorem14::separating_space(), n, p);
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let runs: Vec<ChaseRun> = [1usize, 2, 4]
-                .iter()
-                .map(|&t| {
-                    let budget = separating_budget(stages).with_threads(t);
-                    sys.engine(g.space())
-                        .with_strategy(strategy)
-                        .with_recording(true)
-                        .chase(g.structure(), &budget)
-                })
-                .collect();
-            assert_runs_identical(&runs[0], &runs[1], &format!("{strategy:?} n{n}p{p} @2t"));
-            assert_runs_identical(&runs[0], &runs[2], &format!("{strategy:?} n{n}p{p} @4t"));
-        }
-        // Cross-strategy semantic agreement: same final atom *set*.
-        let naive = sys
-            .engine(g.space())
-            .with_strategy(Strategy::Naive)
-            .chase(g.structure(), &separating_budget(stages));
-        let semi = sys
-            .engine(g.space())
-            .with_strategy(Strategy::SemiNaive)
-            .chase(g.structure(), &separating_budget(stages));
-        let mut a: Vec<_> = naive.structure.atoms().to_vec();
-        let mut b: Vec<_> = semi.structure.atoms().to_vec();
-        prop_assert_eq!(a.len(), b.len());
-        a.sort();
-        b.sort();
-        // Atom identity is up to node renaming between strategies, so
-        // compare the per-predicate atom counts, which renaming preserves.
-        let count = |v: &[cqfd::core::GroundAtom]| {
-            let mut m = std::collections::BTreeMap::new();
-            for atom in v {
-                *m.entry(atom.pred).or_insert(0usize) += 1;
-            }
-            m
-        };
-        prop_assert_eq!(count(&a), count(&b));
+        let engine = sys.engine(g.space()).with_recording(true);
+        let runs: Vec<ChaseRun> = [1usize, 2, 4]
+            .iter()
+            .map(|&t| engine.chase(g.structure(), &separating_budget(stages).with_threads(t)))
+            .collect();
+        assert_runs_identical(&runs[0], &runs[1], &format!("n{n}p{p} @2t"));
+        assert_runs_identical(&runs[0], &runs[2], &format!("n{n}p{p} @4t"));
+        let reference = naive::chase(&engine, g.structure(), &separating_budget(stages), true);
+        naive::assert_same(&runs[0], &reference, &format!("n{n}p{p} vs naive"));
     }
 }
 
@@ -214,10 +185,7 @@ fn cancelled_parallel_chase_is_a_valid_prefix() {
         cancel,
         ..separating_budget(30).with_threads(4)
     };
-    let run = sys
-        .engine(g.space())
-        .with_strategy(Strategy::SemiNaive)
-        .chase(g.structure(), &budget);
+    let run = sys.engine(g.space()).chase(g.structure(), &budget);
     assert_eq!(run.outcome, ChaseOutcome::Cancelled);
     assert_eq!(
         run.stage_structure(run.stage_count()).atoms(),
