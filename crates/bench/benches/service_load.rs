@@ -1,11 +1,11 @@
 //! E-SERVE: the gateway under load — p50/p95/p99 job latency, jobs/sec,
-//! and shed counts for the epoll reactor (line protocol and HTTP/JSON)
-//! against the legacy thread-per-connection server, at 100 / 1 000 /
-//! 10 000 concurrent connections.
+//! and shed counts for the epoll reactor behind `cqfd serve` (line
+//! protocol and HTTP/JSON) at 100 / 1 000 / 10 000 concurrent
+//! connections.
 //!
 //! Hand-rolled harness in the `store_cache` mold; emits
 //! `BENCH_service.json` at the repo root (the file EXPERIMENTS.md
-//! §E-SERVE quotes). The servers run in this process; the clients run in
+//! §E-SERVE quotes). The server runs in this process; the clients run in
 //! a re-exec'd child (`--drive`) so the two sides never share an fd
 //! budget and the 10 000-connection point fits the 20 000-fd rlimit.
 //!
@@ -22,7 +22,6 @@
 
 use cqfd_gateway::http as ghttp;
 use cqfd_gateway::{json, Gateway, GatewayConfig};
-use cqfd_service::{PoolConfig, Server};
 use polling::{Event, Poller};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -53,7 +52,6 @@ fn main() {
 // ------------------------------------------------------------ orchestrator
 
 struct Row {
-    server: &'static str,
     proto: &'static str,
     conns: usize,
     jobs_per_conn: usize,
@@ -114,24 +112,10 @@ fn orchestrate(args: &[String]) {
         if !keep(conns) {
             continue;
         }
-        rows.push(run_drive("gateway", "line", &line_addr, conns, jobs));
-        rows.push(run_drive("gateway", "http", &http_addr, conns, jobs));
+        rows.push(run_drive("line", &line_addr, conns, jobs));
+        rows.push(run_drive("http", &http_addr, conns, jobs));
     }
     gw.shutdown();
-
-    // The legacy thread-per-connection server, line protocol only. The
-    // 10k point is not attempted: a thread per connection at that scale
-    // is exactly the failure mode the reactor replaces.
-    for (conns, jobs) in [POINTS[0], POINTS[1]] {
-        if !keep(conns) {
-            continue;
-        }
-        let server = Server::bind(("127.0.0.1", 0), PoolConfig::default()).expect("bind legacy");
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = server.spawn().expect("spawn legacy");
-        rows.push(run_drive("legacy", "line", &addr, conns, jobs));
-        handle.shutdown();
-    }
 
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     let out_path = flag(args, "--out").unwrap_or(default_out);
@@ -142,8 +126,8 @@ fn orchestrate(args: &[String]) {
         if !bad.is_empty() {
             for r in bad {
                 eprintln!(
-                    "FAIL {}/{} at {} conns: {} failed jobs",
-                    r.server, r.proto, r.conns, r.failed
+                    "FAIL {} at {} conns: {} failed jobs",
+                    r.proto, r.conns, r.failed
                 );
             }
             std::process::exit(1);
@@ -153,13 +137,7 @@ fn orchestrate(args: &[String]) {
 
 /// Re-execs this binary as a client child driving `conns` connections,
 /// and parses its one-line summary.
-fn run_drive(
-    server: &'static str,
-    proto: &'static str,
-    addr: &str,
-    conns: usize,
-    jobs: usize,
-) -> Row {
+fn run_drive(proto: &'static str, addr: &str, conns: usize, jobs: usize) -> Row {
     let exe = std::env::current_exe().expect("current_exe");
     let out = std::process::Command::new(exe)
         .args([
@@ -192,7 +170,6 @@ fn run_drive(
             .expect("numeric drive field")
     };
     let row = Row {
-        server,
         proto,
         conns,
         jobs_per_conn: jobs,
@@ -205,9 +182,8 @@ fn run_drive(
         p99_ms: field("p99_ms="),
     };
     println!(
-        "[E-SERVE] {}/{} conns={} jobs={} ok={} failed={} sheds={} \
+        "[E-SERVE] {} conns={} jobs={} ok={} failed={} sheds={} \
          p50={:.2}ms p95={:.2}ms p99={:.2}ms {:.0} jobs/s",
-        row.server,
         row.proto,
         row.conns,
         row.ok + row.failed,
@@ -666,18 +642,17 @@ fn write_json(path: &str, identity: bool, rows: &[Row]) {
         if identity { "\"ok\"" } else { "\"VIOLATED\"" }
     ));
     out.push_str(
-        "  \"note\": \"servers in the parent process, clients in a re-exec'd child; \
+        "  \"note\": \"gateway in the parent process, clients in a re-exec'd child; \
          latency is per job (request write to result read); sheds are retried until \
          the job completes or the 180 s drive deadline expires\",\n",
     );
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"server\": \"{}\", \"proto\": \"{}\", \"conns\": {}, \
+            "    {{\"proto\": \"{}\", \"conns\": {}, \
              \"jobs_per_conn\": {}, \"jobs_ok\": {}, \"jobs_failed\": {}, \
              \"sheds\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \
              \"jobs_per_sec\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.server,
             r.proto,
             r.conns,
             r.jobs_per_conn,

@@ -1,9 +1,7 @@
-//! # cqfd-gateway — the epoll-reactor front end
+//! # cqfd-gateway — the epoll-reactor server behind `cqfd serve`
 //!
-//! The thread-per-connection daemon in `cqfd-service` is fine for a
-//! handful of trusted clients; it falls over when a determinacy service
-//! is put in front of many tenants. This crate is the production front
-//! end:
+//! The one network front end of the determinacy service, built to put
+//! it in front of many tenants:
 //!
 //! * [`reactor`] — a single-threaded epoll event loop (over the vendored
 //!   [`polling`] shim, the workspace's one `unsafe` enclave) multiplexing
@@ -11,11 +9,12 @@
 //!   per-connection state machines, read deadlines against slow-loris
 //!   stalls, and zero idle polling (job completions and trace records
 //!   wake the loop through the poller's eventfd);
-//! * two transports on the same loop — the byte-compatible **line
-//!   protocol** of `cqfd serve` and an **HTTP/1.1 JSON** ingress
-//!   (`POST /v1/jobs`, `GET /metrics`, `GET /healthz`) — both compiling
-//!   to the same [`cqfd_service::Job`], so answers are byte-identical
-//!   across transports;
+//! * two transports on the same loop — the **line protocol** (jobs plus
+//!   the control words of [`cqfd_service::debug`]) and an **HTTP/1.1
+//!   JSON** ingress (`POST /v1/jobs`, `GET /metrics`, `GET /healthz`,
+//!   `GET /debug/*`) — both compiling to the same
+//!   [`cqfd_service::Job`], so answers are byte-identical across
+//!   transports;
 //! * [`admission`] — multi-tenant token-bucket quotas and two bounded
 //!   priority lanes; saturation **sheds** with a retry-after hint
 //!   (`busy retry-after-ms=` / HTTP 429) instead of queueing without

@@ -1,15 +1,16 @@
 //! The epoll reactor: one thread, many connections, two protocols.
 //!
-//! The legacy `cqfd serve` daemon spends a whole OS thread per
-//! connection; at a few thousand mostly-idle clients that is megabytes of
-//! stacks and a scheduler fight. The gateway instead multiplexes every
-//! connection onto a single event loop over the [`polling`] shim's
-//! level-triggered epoll wrapper:
+//! A thread per connection would cost megabytes of stacks and a
+//! scheduler fight at a few thousand mostly-idle clients, so `cqfd serve`
+//! multiplexes every connection onto a single event loop over the
+//! [`polling`] shim's level-triggered epoll wrapper:
 //!
-//! * two listeners — the byte-compatible **line protocol** of
-//!   [`cqfd_service::Server`] and an **HTTP/1.1 JSON** ingress — share
-//!   the loop; both compile requests to the same [`cqfd_service::Job`],
-//!   so a job answers byte-identically on either transport;
+//! * two listeners — the **line protocol** of [`cqfd_service::proto`]
+//!   and an **HTTP/1.1 JSON** ingress — share the loop; both compile
+//!   requests to the same [`cqfd_service::Job`], so a job answers
+//!   byte-identically on either transport, and both dispatch control
+//!   words and debug paths through the one table in
+//!   [`cqfd_service::debug`];
 //! * each connection is a small state machine (read buffer, write
 //!   buffer, one in-flight job) with nonblocking reads/writes and a
 //!   **read deadline** that cuts off mid-request stalls without ever
@@ -30,7 +31,7 @@ use crate::admission::{Admission, Decision, Quota};
 use crate::http;
 use crate::json;
 use crate::stream::TraceRouter;
-use cqfd_service::debug as svc_debug;
+use cqfd_service::debug::{self as svc_debug, Control};
 use cqfd_service::{
     lint_job, parse_request, Job, JobHandle, JobRequest, Pool, PoolConfig, Priority, SubmitError,
     PROTOCOL_VERSION,
@@ -136,8 +137,7 @@ impl GatewayConfig {
 }
 
 /// A bound, not-yet-running gateway (bind first, learn the port, then
-/// [`run`](Gateway::run) or [`spawn`](Gateway::spawn) — same shape as
-/// [`cqfd_service::Server`]).
+/// [`run`](Gateway::run) or [`spawn`](Gateway::spawn)).
 pub struct Gateway {
     line_listener: Option<TcpListener>,
     http_listener: Option<TcpListener>,
@@ -511,11 +511,6 @@ fn lane_index(p: Priority) -> usize {
     }
 }
 
-fn is_version_token(line: &str) -> bool {
-    line.strip_prefix('v')
-        .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
-}
-
 fn valid_tenant(t: &str) -> bool {
     !t.is_empty()
         && t.bytes()
@@ -722,68 +717,22 @@ impl Reactor {
                 .trim()
                 .to_string()
         };
-        match line.as_str() {
-            "quit" => {
-                let conn = self.conns.get_mut(&key).expect("conn alive");
-                conn.push_line("bye");
-                conn.closing = true;
-                return true;
-            }
-            "shutdown" => {
-                let conn = self.conns.get_mut(&key).expect("conn alive");
-                conn.push_line("bye");
-                conn.closing = true;
-                self.stop.store(true, Ordering::SeqCst);
-                return true;
-            }
-            "metrics" => {
-                let text = cqfd_obs::prom::render(&cqfd_obs::global().snapshot());
-                let conn = self.conns.get_mut(&key).expect("conn alive");
-                let mut reply = format!("metrics_lines={}", text.lines().count());
-                for l in text.lines() {
-                    reply.push('\n');
-                    reply.push_str(l);
-                }
-                conn.push_line(&reply);
-                return true;
-            }
-            "flight" => {
-                let reply = svc_debug::framed_reply("flight", &svc_debug::flight_text(256));
-                let conn = self.conns.get_mut(&key).expect("conn alive");
-                conn.push_line(&reply);
-                return true;
-            }
-            "attribution" => {
-                let reply = svc_debug::framed_reply("attribution", &svc_debug::attribution_text());
-                let conn = self.conns.get_mut(&key).expect("conn alive");
-                conn.push_line(&reply);
-                return true;
-            }
-            v if v == "profile" || v.starts_with("profile ") => {
-                let args = v.strip_prefix("profile").unwrap_or_default().to_string();
-                match svc_debug::parse_profile_args(&args) {
-                    Ok((seconds, hz)) => self.start_profile(key, seconds, hz, false),
-                    Err(e) => {
-                        let conn = self.conns.get_mut(&key).expect("conn alive");
-                        conn.push_line(&format!("error: {e}"));
-                    }
-                }
-                return true;
-            }
-            v if is_version_token(v) => {
-                let conn = self.conns.get_mut(&key).expect("conn alive");
-                if v == PROTOCOL_VERSION {
-                    conn.push_line(&format!("ok {PROTOCOL_VERSION}"));
-                } else {
-                    conn.push_line(&format!(
-                        "error: unsupported protocol version `{v}` \
-                         (server speaks {PROTOCOL_VERSION})"
-                    ));
+        if let Some(word) = svc_debug::control(&line) {
+            let conn = self.conns.get_mut(&key).expect("conn alive");
+            match word {
+                Control::Reply(reply) => conn.push_line(&reply),
+                Control::Close(reply) => {
+                    conn.push_line(&reply);
                     conn.closing = true;
                 }
-                return true;
+                Control::Shutdown => {
+                    conn.push_line("bye");
+                    conn.closing = true;
+                    self.stop.store(true, Ordering::SeqCst);
+                }
+                Control::Profile { seconds, hz } => self.start_profile(key, seconds, hz, false),
             }
-            _ => {}
+            return true;
         }
         match parse_request(&line) {
             Ok(None) => true, // blank / comment: no reply
@@ -848,18 +797,15 @@ impl Reactor {
             .target
             .split_once('?')
             .unwrap_or((req.target.as_str(), ""));
+        if let Some(s) = svc_debug::surface_at(path).filter(|_| req.method == "GET") {
+            let text = (s.text)();
+            self.respond(key, 200, s.content_type, text.as_bytes(), close_after);
+            return true;
+        }
         match (req.method.as_str(), path) {
             ("GET", "/healthz") => {
                 let body = self.healthz_body();
                 self.respond(key, 200, "text/plain", body.as_bytes(), close_after);
-            }
-            ("GET", "/debug/flight") => {
-                let text = svc_debug::flight_text(256);
-                self.respond(key, 200, "text/plain", text.as_bytes(), close_after);
-            }
-            ("GET", "/debug/attribution") => {
-                let text = svc_debug::attribution_text();
-                self.respond(key, 200, "text/plain", text.as_bytes(), close_after);
             }
             ("GET", "/debug/profile") => {
                 // Query string reuses the control-word grammar: `&`-joined
@@ -878,16 +824,6 @@ impl Reactor {
                         );
                     }
                 }
-            }
-            ("GET", "/metrics") => {
-                let text = cqfd_obs::prom::render(&cqfd_obs::global().snapshot());
-                self.respond(
-                    key,
-                    200,
-                    "text/plain; version=0.0.4",
-                    text.as_bytes(),
-                    close_after,
-                );
             }
             ("POST", "/v1/jobs") => match self.http_job_request(&req) {
                 Ok(jr) => {

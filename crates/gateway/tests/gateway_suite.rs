@@ -1,11 +1,11 @@
-//! End-to-end exercises of the gateway reactor: protocol parity with the
-//! legacy thread-per-connection server, transport byte-identity,
-//! admission control, streaming, deadlines, and malformed-input
-//! resilience.
+//! End-to-end exercises of the gateway reactor: line-protocol answers
+//! identical to in-process execution, control words, transport
+//! byte-identity, admission control, streaming, deadlines, and
+//! malformed-input resilience.
 
 use cqfd_gateway::http as ghttp;
 use cqfd_gateway::{json, Gateway, GatewayConfig, Quota};
-use cqfd_service::{PoolConfig, Server};
+use cqfd_service::{parse_request, Pool, PoolConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -148,36 +148,148 @@ fn gateway_needs_at_least_one_listener() {
 }
 
 #[test]
-fn line_protocol_matches_the_legacy_server() {
-    let legacy = Server::bind(("127.0.0.1", 0), PoolConfig::default().with_workers(1))
-        .expect("bind legacy")
-        .spawn()
-        .expect("spawn legacy");
+fn line_protocol_answers_like_in_process_execution() {
     let gw = Gateway::bind(Some("127.0.0.1:0"), None, one_worker())
         .expect("bind gateway")
         .spawn()
         .expect("spawn gateway");
+    let pool = Pool::new(PoolConfig::default().with_workers(1));
+    let in_process = |request: &str| match parse_request(request) {
+        Ok(Some(req)) => pool.submit_blocking(req.job).wait().render_protocol(),
+        Ok(None) => panic!("`{request}` is not a job line"),
+        Err(e) => format!("error: {e}"),
+    };
 
-    let (mut legacy_rd, mut legacy_wr) = line_client(legacy.addr());
-    let (mut gw_rd, mut gw_wr) = line_client(gw.line_addr().expect("line addr"));
+    let (mut rd, mut wr) = line_client(gw.line_addr().expect("line addr"));
+    writeln!(wr, "v1").unwrap();
+    assert_eq!(read_reply(&mut rd), "ok v1\n");
     for request in [
-        "v1",
         "creep worm=short cert=1",
         "determine instance=projection",
         "frobnicate x=1",
+        // Routing metadata reaches admission, never the job.
         "creep worm=short tenant=acme priority=batch",
     ] {
-        writeln!(legacy_wr, "{request}").unwrap();
-        writeln!(gw_wr, "{request}").unwrap();
-        let a = read_reply(&mut legacy_rd);
-        let b = read_reply(&mut gw_rd);
-        assert_eq!(normalize(&a), normalize(&b), "diverged on `{request}`");
+        writeln!(wr, "{request}").unwrap();
+        assert_eq!(
+            normalize(&read_reply(&mut rd)),
+            normalize(&in_process(request)),
+            "diverged on `{request}`"
+        );
     }
-    writeln!(legacy_wr, "quit").unwrap();
-    writeln!(gw_wr, "quit").unwrap();
-    assert_eq!(read_reply(&mut legacy_rd).trim(), "bye");
-    assert_eq!(read_reply(&mut gw_rd).trim(), "bye");
-    legacy.shutdown();
+    // Blank lines and comments get no reply at all.
+    writeln!(wr, "\n# a comment\nquit").unwrap();
+    assert_eq!(read_reply(&mut rd), "bye\n");
+    pool.shutdown();
+    gw.shutdown();
+}
+
+#[test]
+fn metrics_word_scrapes_between_jobs() {
+    let gw = Gateway::bind(Some("127.0.0.1:0"), None, one_worker())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let (mut rd, mut wr) = line_client(gw.line_addr().unwrap());
+    // Run a job first so the chase/hom/pool families exist.
+    writeln!(wr, "determine instance=projection").unwrap();
+    assert!(read_reply(&mut rd).contains("verdict=not-determined"));
+
+    writeln!(wr, "metrics").unwrap();
+    let text = read_framed(&mut rd, "metrics");
+    for family in [
+        "cqfd_chase_run_seconds",
+        "cqfd_hom_search_nodes_total",
+        "cqfd_pool_jobs_total",
+        "cqfd_pool_workers",
+        "cqfd_gateway_connections",
+    ] {
+        assert!(text.contains(family), "scrape missing {family}:\n{text}");
+    }
+    // The connection still serves jobs after a scrape.
+    writeln!(wr, "creep worm=short").unwrap();
+    assert!(read_reply(&mut rd).contains("verdict=halted"));
+    gw.shutdown();
+}
+
+#[test]
+fn unsupported_version_is_refused_and_closed() {
+    let gw = Gateway::bind(Some("127.0.0.1:0"), None, one_worker())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let (mut rd, mut wr) = line_client(gw.line_addr().unwrap());
+    writeln!(wr, "v2").unwrap();
+    assert_eq!(
+        read_reply(&mut rd),
+        "error: unsupported protocol version `v2` (server speaks v1)\n"
+    );
+    // The client sees EOF promptly, without a server shutdown.
+    let mut line = String::new();
+    assert_eq!(rd.read_line(&mut line).unwrap(), 0, "connection open");
+    gw.shutdown();
+}
+
+#[test]
+fn oversized_request_line_is_rejected() {
+    let config = one_worker().with_max_line_bytes(1024);
+    let gw = Gateway::bind(Some("127.0.0.1:0"), None, config)
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let (mut rd, mut wr) = line_client(gw.line_addr().unwrap());
+    wr.write_all(&[b'a'; 2048]).unwrap();
+    wr.flush().unwrap();
+    assert_eq!(
+        read_reply(&mut rd),
+        "error: request line exceeds 1024 bytes\n"
+    );
+    gw.shutdown();
+}
+
+#[test]
+fn job_payloads_travel_the_wire() {
+    let gw = Gateway::bind(Some("127.0.0.1:0"), None, one_worker())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let (mut rd, mut wr) = line_client(gw.line_addr().unwrap());
+    // Reads the `n` payload lines after a `<key>=<n>` field.
+    let payload = |reply: &str, key: &str| -> String {
+        let n: usize = reply
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix(key).and_then(|t| t.strip_prefix('=')))
+            .unwrap_or_else(|| panic!("`{reply}` carries {key}="))
+            .parse()
+            .unwrap();
+        reply.lines().skip(1).take(n).collect::<Vec<_>>().join("\n")
+    };
+
+    writeln!(wr, "determine instance=projection trace=1").unwrap();
+    let reply = read_reply(&mut rd);
+    let records = cqfd_obs::jsonl::parse_lines(&payload(&reply, "trace_lines"))
+        .expect("trace is valid JSONL");
+    assert!(!records.is_empty());
+    assert!(
+        records.iter().all(|r| r.job == Some(1)),
+        "every record is tagged with the job id"
+    );
+    assert!(
+        records
+            .iter()
+            .any(|r| r.name == "chase.run" || r.name == "oracle.certify_run"),
+        "trace covers the chase/oracle spans"
+    );
+
+    // `short` lints with warnings (dead symbols) but no errors, so the
+    // job runs and the report rides along behind `lint_lines=`.
+    writeln!(wr, "creep worm=short lint=1").unwrap();
+    let reply = read_reply(&mut rd);
+    assert!(reply.contains("verdict=halted"), "{reply}");
+    let lint = payload(&reply, "lint_lines");
+    assert!(lint.starts_with("cqfd-lint v1\n"), "{lint}");
+    assert!(lint.ends_with("\nend"), "{lint}");
+    assert!(lint.contains("severity=warn"), "{lint}");
     gw.shutdown();
 }
 

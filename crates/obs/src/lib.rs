@@ -64,7 +64,7 @@ use std::sync::OnceLock;
 ///
 /// Initialisation registers the `cqfd_build_info` gauge (value 1, labels
 /// `version` and `profile`), so every scrape of the global registry —
-/// CLI, legacy server, gateway — identifies the binary it came from. The
+/// CLI or gateway — identifies the binary it came from. The
 /// workspace shares one version, so this crate's is the binary's.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();

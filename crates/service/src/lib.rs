@@ -19,7 +19,9 @@
 //!   instrumentation counters in `cqfd-chase` (stages, triggers) and
 //!   `cqfd-core::hom` (search nodes);
 //! * [`proto`] — the line protocol of `cqfd batch` job files and of the
-//!   [`server`] TCP daemon (`cqfd serve`).
+//!   `cqfd serve` gateway (crate `cqfd-gateway`), whose control words
+//!   (`metrics`, `flight`, `profile`, `quit`, …) live in one table in
+//!   [`debug`].
 //!
 //! ```
 //! use cqfd_service::{parse_job, Pool, PoolConfig};
@@ -42,8 +44,8 @@ pub mod lint;
 pub mod outcome;
 pub mod pool;
 pub mod proto;
-pub mod server;
 
+pub use debug::PROTOCOL_VERSION;
 pub use dispatch::{Dispatch, Route};
 pub use exec::{execute, execute_stored, job_key};
 pub use job::{Job, JobBudget};
@@ -51,4 +53,3 @@ pub use lint::lint_job;
 pub use outcome::{parse_result_line, JobMetrics, JobOutcome, JobResult};
 pub use pool::{JobHandle, Pool, PoolConfig, SubmitError};
 pub use proto::{parse_job, parse_jobs, parse_request, JobRequest, Priority, DEFAULT_TENANT};
-pub use server::{Server, ServerHandle, ServerLimits, PROTOCOL_VERSION};

@@ -1,4 +1,4 @@
-//! The line protocol shared by `cqfd batch` job files and the TCP server.
+//! The line protocol shared by `cqfd batch` job files and the gateway.
 //!
 //! One job per line: a kind tag followed by `key=value` pairs; values with
 //! spaces are double-quoted. Blank lines and `#` comments are skipped.
@@ -368,8 +368,7 @@ pub struct JobRequest {
     /// Requested dispatch lane (`priority=`, default interactive).
     pub priority: Priority,
     /// Stream obs trace records to the client while the job runs
-    /// (`stream=1`). Only the gateway implements delivery; the
-    /// thread-per-connection server accepts and ignores it.
+    /// (`stream=1`); the gateway delivers them.
     pub stream: bool,
 }
 

@@ -20,9 +20,7 @@ use cqfd::rainworm::run::{creep, trace, CreepOutcome};
 use cqfd::rainworm::tm::TuringMachine;
 use cqfd::rainworm::Delta;
 use cqfd::reduction::reduce;
-use cqfd::service::{
-    execute_stored, parse_jobs, Dispatch, Job, JobBudget, Pool, PoolConfig, Server,
-};
+use cqfd::service::{execute_stored, parse_jobs, Dispatch, Job, JobBudget, Pool, PoolConfig};
 use cqfd::store::Store;
 use cqfd_obs::Stopwatch;
 use std::process::ExitCode;
@@ -91,14 +89,14 @@ USAGE:
   cqfd batch     <jobs-file> [--workers <n>] [--queue <n>] [--threads <n>]
                  [--store <dir>] [--hom-engine <legacy|wco>]
                  [--dispatch <semi|auto|forced:A3xx>]
-  cqfd serve     --listen <addr> [--workers <n>] [--queue <n>] [--store <dir>]
-                 [--gateway] [--http-listen <addr>] [--lane-cap <n>]
+  cqfd serve     [--listen <addr>] [--http-listen <addr>] [--workers <n>]
+                 [--queue <n>] [--store <dir>] [--lane-cap <n>]
                  [--tenant-quota <tenant:rate:burst> ...]
                  [--default-quota <rate:burst>]
-                 (any gateway flag switches from the thread-per-connection
-                  server to the epoll reactor: line protocol on --listen,
-                  HTTP/JSON on --http-listen, token-bucket admission
-                  control per tenant, overload shedding with retry-after)
+                 (the epoll gateway: line protocol on --listen, HTTP/JSON
+                  on --http-listen, at least one of the two; token-bucket
+                  admission control per tenant, overload shedding with
+                  retry-after)
   cqfd metrics   [--connect <addr>] [<jobs-file>]
                  (Prometheus text: scrape a running server, or run the
                   jobs locally first and dump this process's registry)
@@ -143,7 +141,7 @@ Job-file syntax: one job per line, e.g. `determine instance=path:2x3`;
 see the cqfd-service docs (`cqfd::service::proto`).";
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["--emit", "--json", "--gateway"];
+const BOOLEAN_FLAGS: &[&str] = &["--emit", "--json"];
 
 /// Rejects flags outside `allowed` (and double-dash tokens in value
 /// position are fine: `--view --weird` treats `--weird` as the value).
@@ -184,11 +182,6 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     flag_values(args, name).into_iter().next()
-}
-
-/// Whether a boolean flag (no value) is present.
-fn flag_present(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
 }
 
 /// Positional (non-flag) arguments, skipping each value flag's value.
@@ -760,7 +753,7 @@ fn batch_cmd(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    // Same static-analysis gate as the TCP server: refuse to pool a job
+    // Same static-analysis gate as the gateway: refuse to pool a job
     // whose rule set lints with error-severity diagnostics.
     for (i, job) in jobs.iter().enumerate() {
         if let Some(d) = cqfd::service::lint_job(job).first_error() {
@@ -1065,6 +1058,7 @@ fn store_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn serve_cmd(args: &[String]) -> Result<(), String> {
+    use cqfd::gateway::{Gateway, GatewayConfig, Quota};
     check_flags(
         args,
         &[
@@ -1073,7 +1067,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             "--queue",
             "--store",
             "--http-listen",
-            "--gateway",
             "--lane-cap",
             "--tenant-quota",
             "--default-quota",
@@ -1081,27 +1074,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     )?;
     let line_addr = flag(args, "--listen");
     let http_addr = flag(args, "--http-listen");
-    let gateway_mode = flag_present(args, "--gateway")
-        || http_addr.is_some()
-        || flag(args, "--lane-cap").is_some()
-        || !flag_values(args, "--tenant-quota").is_empty()
-        || flag(args, "--default-quota").is_some();
-
-    if !gateway_mode {
-        // Legacy path: the thread-per-connection server, byte-compatible
-        // with every pre-gateway deployment.
-        let addr = line_addr.ok_or("missing --listen")?;
-        let server = Server::bind(addr, pool_config(args)?).map_err(|e| format!("{addr}: {e}"))?;
-        let local = server.local_addr().map_err(|e| e.to_string())?;
-        println!("listening on {local} (send `quit` to close a connection, `shutdown` to stop)");
-        server.run();
-        println!("server stopped");
-        return Ok(());
-    }
-
-    use cqfd::gateway::{Gateway, GatewayConfig, Quota};
     if line_addr.is_none() && http_addr.is_none() {
-        return Err("gateway mode needs --listen and/or --http-listen".into());
+        return Err("serve needs --listen and/or --http-listen".into());
     }
     let mut cfg = GatewayConfig::default().with_pool(pool_config(args)?);
     if let Some(cap) = flag(args, "--lane-cap") {

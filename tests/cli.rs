@@ -124,6 +124,86 @@ fn unknown_flags_are_rejected() {
     assert!(text.contains("unknown flag"), "{text}");
 }
 
+/// `cqfd serve` runs the gateway: the line protocol and HTTP share one
+/// reactor, `metrics --connect` scrapes it, and `shutdown` stops it.
+#[test]
+fn serve_runs_the_gateway_until_shutdown() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    /// Kills the server if the test fails before `shutdown`.
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let (ok, text) = cqfd(&["serve", "--gateway", "--listen", "127.0.0.1:0"]);
+    assert!(!ok && text.contains("unknown flag `--gateway`"), "{text}");
+    let (ok, text) = cqfd(&["serve", "--workers", "1"]);
+    assert!(
+        !ok && text.contains("--listen and/or --http-listen"),
+        "{text}"
+    );
+
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_cqfd"))
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(["--http-listen", "127.0.0.1:0", "--workers", "1"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn cqfd serve"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("stdout"));
+    let mut bound = |prefix: &str| -> String {
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("listener line");
+        line.strip_prefix(prefix)
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("expected `{prefix}<addr>`, got `{line}`"))
+            .to_string()
+    };
+    let line_addr = bound("line protocol on ");
+    let http_addr = bound("http on ");
+
+    let (ok, scrape) = cqfd(&["metrics", "--connect", &line_addr]);
+    assert!(ok, "{scrape}");
+    assert!(
+        scrape.contains("# TYPE cqfd_gateway_connections gauge"),
+        "{scrape}"
+    );
+
+    let mut http = TcpStream::connect(&http_addr).expect("connect http");
+    http.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut health = String::new();
+    http.read_to_string(&mut health).unwrap();
+    assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
+    assert!(health.contains("workers=1"), "{health}");
+
+    let line = TcpStream::connect(&line_addr).expect("connect line");
+    let mut reader = BufReader::new(line.try_clone().unwrap());
+    let mut writer = line;
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply, "cqfd-service v1\n");
+    writeln!(writer, "determine instance=projection").unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("verdict=not-determined"), "{reply}");
+    writeln!(writer, "shutdown").unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply, "bye\n");
+
+    assert!(server.0.wait().expect("wait").success());
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("gateway stopped"), "{rest}");
+}
+
 #[test]
 fn determine_prints_metrics() {
     let (ok, text) = cqfd(&[

@@ -1,11 +1,12 @@
 //! Integration tests for the `cqfd-service` job-server subsystem: a mixed
 //! batch with known ground truth, cooperative cancellation under a
-//! deadline, queue backpressure, and the TCP front-end's graceful
+//! deadline, queue backpressure, and the `cqfd serve` gateway's graceful
 //! shutdown.
 
+use cqfd::gateway::{Gateway, GatewayConfig};
 use cqfd::greenred::instances;
 use cqfd::rainworm::families::{forever_worm, halting_worm_short};
-use cqfd::service::{Job, JobBudget, JobOutcome, Pool, PoolConfig, Server, SubmitError};
+use cqfd::service::{Job, JobBudget, JobOutcome, Pool, PoolConfig, SubmitError};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -189,13 +190,14 @@ fn queue_overflow_reports_backpressure() {
 }
 
 /// The TCP server answers concurrent clients and shuts down gracefully,
-/// joining every thread (handle.shutdown() returning proves the joins).
+/// joining the reactor and every pool worker (handle.shutdown()
+/// returning proves the joins).
 #[test]
 fn tcp_server_serves_concurrent_clients_then_shuts_down() {
-    let server = Server::bind(("127.0.0.1", 0), PoolConfig::default().with_workers(2))
-        .expect("bind 127.0.0.1:0");
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().expect("spawn server");
+    let config = GatewayConfig::default().with_pool(PoolConfig::default().with_workers(2));
+    let gateway = Gateway::bind(Some("127.0.0.1:0"), None, config).expect("bind 127.0.0.1:0");
+    let addr = gateway.line_addr().expect("line listener");
+    let handle = gateway.spawn().expect("spawn server");
 
     let clients: Vec<_> = (0..3)
         .map(|i| {
@@ -231,7 +233,7 @@ fn tcp_server_serves_concurrent_clients_then_shuts_down() {
         assert!(r.contains("elapsed_ms="), "metrics present: {r}");
     }
 
-    handle.shutdown(); // joins the accept loop, connections, and workers
+    handle.shutdown(); // joins the reactor and the pool's workers
     assert!(
         TcpStream::connect(addr).is_err(),
         "listener closed after shutdown"
