@@ -178,14 +178,18 @@ pub fn profile_folded(seconds: u64, hz: u32) -> String {
 }
 
 /// Parses `key=value` tokens of a `profile` control word (`seconds=N`,
-/// `hz=N`; unknown keys rejected). Returns `(seconds, hz)`.
+/// `hz=N`; unknown keys rejected). Returns `(seconds, hz)`. These are the
+/// window limits for every profile, remote or local; each error about a
+/// value starts with its key, so `cqfd profile` can name its flag.
 pub fn parse_profile_args(args: &str) -> Result<(u64, u32), String> {
     let mut seconds = 2u64;
     let mut hz = 97u32;
     for tok in args.split_whitespace() {
         match tok.split_once('=') {
             Some(("seconds", v)) => {
-                seconds = v.parse::<u64>().map_err(|_| format!("bad seconds `{v}`"))?;
+                seconds = v
+                    .parse::<u64>()
+                    .map_err(|_| format!("seconds `{v}` is not a number"))?;
                 if seconds == 0 || seconds > MAX_PROFILE_SECONDS {
                     return Err(format!(
                         "seconds must be 1..={MAX_PROFILE_SECONDS}, got {seconds}"
@@ -193,7 +197,9 @@ pub fn parse_profile_args(args: &str) -> Result<(u64, u32), String> {
                 }
             }
             Some(("hz", v)) => {
-                hz = v.parse::<u32>().map_err(|_| format!("bad hz `{v}`"))?;
+                hz = v
+                    .parse::<u32>()
+                    .map_err(|_| format!("hz `{v}` is not a number"))?;
                 if hz == 0 || hz > 1000 {
                     return Err(format!("hz must be 1..=1000, got {hz}"));
                 }
@@ -310,6 +316,7 @@ mod tests {
             reply("profile seconds=99"),
             "error: seconds must be 1..=30, got 99"
         );
+        assert_eq!(reply("profile hz=fast"), "error: hz `fast` is not a number");
         assert_eq!(
             reply("profile bogus=1"),
             "error: unknown profile argument `bogus=1`"

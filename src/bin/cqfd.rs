@@ -109,8 +109,8 @@ USAGE:
                   per-rule cost-attribution report)
   cqfd flight    [--connect <addr>] [--max-lines <n>] [<jobs-file>]
                  (dump the black-box flight ring as JSONL: the newest
-                  trace records from a running server, or from a local
-                  jobs-file run)
+                  trace records from a running server, at most 256, or
+                  from a local jobs-file run)
   cqfd store     <stat|verify|gc> <dir> [--max-bytes <n>]
                  (inspect, re-validate, or clean a result store; `verify`
                   exits nonzero when any entry fails the checker; gc with
@@ -866,17 +866,12 @@ fn remote_framed_word(
 fn profile_cmd(args: &[String]) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, Ordering};
     check_flags(args, &["--seconds", "--hz", "--connect"])?;
-    let seconds: u64 = flag(args, "--seconds").map_or(Ok(2), |s| {
-        s.parse().map_err(|_| "bad --seconds".to_string())
-    })?;
-    if seconds == 0 || seconds > 30 {
-        return Err(format!("--seconds must be 1..=30, got {seconds}"));
-    }
-    let hz: u32 =
-        flag(args, "--hz").map_or(Ok(97), |s| s.parse().map_err(|_| "bad --hz".to_string()))?;
-    if hz == 0 || hz > 1000 {
-        return Err(format!("--hz must be 1..=1000, got {hz}"));
-    }
+    let window: String = [("--seconds", "seconds"), ("--hz", "hz")]
+        .iter()
+        .filter_map(|(name, key)| flag(args, name).map(|v| format!("{key}={v} ")))
+        .collect();
+    let (seconds, hz) =
+        cqfd::service::debug::parse_profile_args(&window).map_err(|e| format!("--{e}"))?;
     let pos = positionals(args);
     if let Some(addr) = flag(args, "--connect") {
         if !pos.is_empty() {
@@ -972,7 +967,11 @@ fn flight_cmd(args: &[String]) -> Result<(), String> {
         }
         let text =
             remote_framed_word(addr, "flight", "flight", 30).map_err(|e| format!("{addr}: {e}"))?;
-        print!("{text}");
+        // The server sends its newest 256 records, oldest first.
+        let records: Vec<&str> = text.lines().collect();
+        for r in &records[records.len().saturating_sub(max_lines)..] {
+            println!("{r}");
+        }
         return Ok(());
     }
     match pos.as_slice() {

@@ -193,6 +193,10 @@ fn serve_runs_the_gateway_until_shutdown() {
     reply.clear();
     reader.read_line(&mut reply).unwrap();
     assert!(reply.contains("verdict=not-determined"), "{reply}");
+    let (ok, dump) = cqfd(&["flight", "--connect", &line_addr, "--max-lines", "1"]);
+    assert!(ok, "{dump}");
+    assert_eq!(dump.lines().count(), 1, "{dump}");
+    assert!(dump.contains("\"seq\""), "{dump}");
     writeln!(writer, "shutdown").unwrap();
     reply.clear();
     reader.read_line(&mut reply).unwrap();
@@ -471,6 +475,9 @@ fn profile_and_flight_reject_bad_arguments() {
     let (ok, text) = cqfd(&["profile", "--hz", "9999"]);
     assert!(!ok);
     assert!(text.contains("--hz"), "{text}");
+    let (ok, text) = cqfd(&["profile", "--seconds", "soon"]);
+    assert!(!ok);
+    assert!(text.contains("--seconds `soon` is not a number"), "{text}");
     let (ok, text) = cqfd(&["flight", "--bogus", "1"]);
     assert!(!ok);
     assert!(text.contains("unknown flag"), "{text}");
