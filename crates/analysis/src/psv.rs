@@ -160,7 +160,7 @@ fn instantiate(view: &Cq, answer: &[Node], target: &mut Structure, sibling: &mut
             }
         })
         .collect();
-    target.add(atom.pred, args);
+    target.add(atom.pred, &args);
 }
 
 #[cfg(test)]

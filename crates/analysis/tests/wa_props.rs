@@ -55,7 +55,7 @@ fn seed(sig: &Arc<Signature>) -> Structure {
     let mut d = Structure::new(Arc::clone(sig));
     let ns: Vec<Node> = (0..3).map(|_| d.fresh_node()).collect();
     for (name, (i, j)) in [("P", (0, 1)), ("Q", (1, 2)), ("S", (2, 0))] {
-        d.add(sig.predicate(name).unwrap(), vec![ns[i], ns[j]]);
+        d.add(sig.predicate(name).unwrap(), &[ns[i], ns[j]]);
     }
     d
 }

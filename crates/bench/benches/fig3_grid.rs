@@ -19,7 +19,7 @@ fn bench_fig3(c: &mut Criterion) {
                 b.iter(|| {
                     let (_, run, found) = chase_from_lasso(n, p, 100);
                     assert!(found);
-                    run.structure.atom_count()
+                    run.atom_count()
                 });
             },
         );

@@ -28,10 +28,10 @@ fn main() {
     for i in 0..nodes.len() {
         for _ in 0..3 {
             let j = rnd() % nodes.len();
-            d.add(r, vec![nodes[i], nodes[j]]);
+            d.add(r, &[nodes[i], nodes[j]]);
         }
         let j = rnd() % nodes.len();
-        d.add(s, vec![nodes[i], nodes[j]]);
+        d.add(s, &[nodes[i], nodes[j]]);
     }
 
     // Body shape: R(x,y), S(y,z) seeded on x — the per-delta enumeration.
@@ -105,7 +105,6 @@ fn main() {
     let s1w = wco_body.slot(Var(1)).unwrap();
     let delta_rows: Vec<(cqfd_core::Node, cqfd_core::Node)> = d
         .atoms()
-        .iter()
         .filter(|a| a.pred == r)
         .map(|a| (a.args[0], a.args[1]))
         .collect();

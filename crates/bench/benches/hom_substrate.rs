@@ -20,7 +20,7 @@ fn random_graph(n: u32, m: usize, seed: u64) -> (Arc<Signature>, Structure) {
     for _ in 0..m {
         let x = Node(rng.gen_range(0..n));
         let y = Node(rng.gen_range(0..n));
-        d.add(e, vec![x, y]);
+        d.add(e, &[x, y]);
     }
     (sig, d)
 }

@@ -37,7 +37,6 @@ pub fn struct_spec(d: &Structure) -> StructSpec {
             .collect(),
         atoms: d
             .atoms()
-            .iter()
             .map(|a| AtomSpec {
                 pred: a.pred.0 as usize,
                 args: a.args.iter().map(|n| n.0).collect(),

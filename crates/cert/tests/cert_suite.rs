@@ -177,7 +177,7 @@ fn path_trace(stages: usize) -> (Certificate, Vec<cqfd_cert::FiringSpec>) {
     let mut start = Structure::new(Arc::clone(&sig));
     let a = start.fresh_node();
     let b = start.fresh_node();
-    start.add(r, vec![a, b]);
+    start.add(r, &[a, b]);
     let run = engine.chase(&start, &ChaseBudget::stages(stages));
     let cert = convert::chase_trace(&sig, engine.tgds(), &start, &run, None);
     let firings = match &cert {

@@ -360,12 +360,43 @@ impl ChaseRun {
         self.outcome == ChaseOutcome::Fixpoint
     }
 
+    /// Atom count of the chased structure, read off the stage history,
+    /// so it survives [`take_structure`](Self::take_structure).
+    pub fn atom_count(&self) -> usize {
+        self.stages
+            .last()
+            .map_or(self.start_atoms, |s| s.atoms_after)
+    }
+
+    /// Node count of the chased structure, read off the stage history,
+    /// so it survives [`take_structure`](Self::take_structure).
+    pub fn node_count(&self) -> u32 {
+        self.stages
+            .last()
+            .map_or(self.start_nodes, |s| s.nodes_after)
+    }
+
+    /// Moves the chased structure out of the run, leaving an empty
+    /// structure over the same signature in its place. The stage history,
+    /// [`atom_count`](Self::atom_count) and
+    /// [`node_count`](Self::node_count) stay as they were;
+    /// [`stage_structure`](Self::stage_structure) then panics.
+    pub fn take_structure(&mut self) -> Structure {
+        let empty = Structure::new(std::sync::Arc::clone(self.structure.signature()));
+        std::mem::replace(&mut self.structure, empty)
+    }
+
     /// Reconstructs the structure `chase_i` for `0 ≤ i ≤ stage_count()`.
     ///
     /// Possible because the chase only ever appends atoms and nodes; the
     /// prefix of the final atom list up to the stage boundary *is* the
     /// stage. Constant-node identities are preserved.
     pub fn stage_structure(&self, i: usize) -> Structure {
+        assert_eq!(
+            self.structure.atom_count(),
+            self.atom_count(),
+            "the run's structure was taken"
+        );
         let (atoms, nodes) = if i == 0 {
             (self.start_atoms, self.start_nodes)
         } else {
@@ -383,8 +414,8 @@ impl ChaseRun {
                 out.pin_constant(c, Node(n));
             }
         }
-        for a in &self.structure.atoms()[..atoms] {
-            out.add_atom(a.clone());
+        for a in self.structure.atoms().take(atoms) {
+            out.add(a.pred, a.args);
         }
         out
     }
@@ -555,6 +586,8 @@ impl ChaseEngine {
         };
         let finish = |mut run: ChaseRun, d: Structure| {
             run.structure = d;
+            debug_assert_eq!(run.atom_count(), run.structure.atom_count());
+            debug_assert_eq!(run.node_count(), run.structure.node_count());
             run.elapsed = clock.elapsed();
             run.hom_nodes = hom_nodes_explored() - hom_start;
             meters.finish_run(&clock, run.outcome);
@@ -640,9 +673,10 @@ impl ChaseEngine {
     /// at its last committed boundary.
     pub fn replay(&self, start: &Structure, firings: &[Firing]) -> Structure {
         let mut d = start.clone();
+        let mut args = Vec::new();
         for f in firings {
             let fixed: VarMap = f.assignment.iter().copied().collect();
-            self.apply(&self.tgds[f.tgd], &fixed, &mut d);
+            self.apply(&self.tgds[f.tgd], &fixed, &mut d, &mut args);
         }
         d
     }
@@ -1014,6 +1048,7 @@ impl ChaseEngine {
         meters: &ChaseMeters,
     ) -> (usize, Option<ChaseOutcome>) {
         let mut applications = 0usize;
+        let mut args = Vec::new();
         for (ti, frontiers) in merged.into_iter().enumerate() {
             let tgd = &self.tgds[ti];
             meters.per_rule[ti].0.add(frontiers.len() as u64);
@@ -1039,7 +1074,7 @@ impl ChaseEngine {
                 if exists_homomorphism_with(budget.hom_engine, tgd.head(), d, &fixed) {
                     continue;
                 }
-                self.apply(tgd, &fixed, d);
+                self.apply(tgd, &fixed, d, &mut args);
                 if let Some(assignment) = f.full_map {
                     firings.push(Firing {
                         stage,
@@ -1063,21 +1098,29 @@ impl ChaseEngine {
 
     /// Applies one active trigger: `D := D(T, b̄)` — a fresh copy of `A[Ψ]`
     /// glued to the old structure along the frontier (§II.B).
-    fn apply(&self, tgd: &Tgd, fixed: &VarMap, d: &mut Structure) {
-        let mut assignment = fixed.clone();
-        for &v in tgd.existential() {
-            let n = d.fresh_node();
-            assignment.insert(v, n);
+    ///
+    /// The existentials get consecutive fresh nodes, in order. Each head
+    /// atom is assembled in `args`, a scratch buffer the caller reuses
+    /// across applications, and inserted straight from it.
+    fn apply(&self, tgd: &Tgd, fixed: &VarMap, d: &mut Structure, args: &mut Vec<Node>) {
+        let first_fresh = d.node_count();
+        for _ in tgd.existential() {
+            d.fresh_node();
         }
         for a in tgd.head() {
-            let args: Vec<Node> = a
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => assignment[v],
+            args.clear();
+            for t in &a.args {
+                args.push(match t {
+                    Term::Var(v) => match fixed.get(v) {
+                        Some(&n) => n,
+                        None => {
+                            let i = tgd.existential().iter().position(|e| e == v);
+                            Node(first_fresh + i.expect("head variable is bound") as u32)
+                        }
+                    },
                     Term::Const(c) => d.node_for_const(*c),
-                })
-                .collect();
+                });
+            }
             d.add(a.pred, args);
         }
     }
@@ -1267,7 +1310,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::default());
         assert!(run.reached_fixpoint());
         assert_eq!(run.structure.atom_count(), 1, "lazy chase adds nothing");
@@ -1283,7 +1326,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::stages(10));
         assert_eq!(run.outcome, ChaseOutcome::StageBudgetExhausted);
         assert_eq!(run.stage_count(), 10);
@@ -1307,7 +1350,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..5).map(|_| d.fresh_node()).collect();
         for w in ns.windows(2) {
-            d.add(r, vec![w[0], w[1]]);
+            d.add(r, &[w[0], w[1]]);
         }
         let run = engine.chase(&d, &ChaseBudget::default());
         assert!(run.reached_fixpoint());
@@ -1326,7 +1369,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::stages(5));
         let mut prev_atoms = 0;
         for i in 0..=run.stage_count() {
@@ -1349,12 +1392,12 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::default());
         assert!(run.reached_fixpoint());
         // A model M ⊇ D: same R edge plus S(b, b).
         let mut m = d.clone();
-        m.add(s, vec![b, b]);
+        m.add(s, &[b, b]);
         assert!(engine.is_model(&m));
         let h = structure_homomorphism(&run.structure, &m);
         assert!(h.is_some(), "chase must map into every model extending D");
@@ -1369,7 +1412,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run =
             engine.chase_with_monitor(&d, &ChaseBudget::stages(100), |s, _| s.atom_count() >= 4);
         assert_eq!(run.outcome, ChaseOutcome::MonitorStopped);
@@ -1385,7 +1428,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let budget = ChaseBudget {
             max_stages: 1000,
             max_atoms: 5,
@@ -1408,7 +1451,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let r1 = engine.chase(&d, &ChaseBudget::stages(6));
         let r2 = engine.chase(&d, &ChaseBudget::stages(6));
         assert_eq!(r1.structure.atoms(), r2.structure.atoms());
@@ -1432,7 +1475,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..5).map(|_| d.fresh_node()).collect();
         for w in ns.windows(2) {
-            d.add(r, vec![w[0], w[1]]);
+            d.add(r, &[w[0], w[1]]);
         }
         let engine = ChaseEngine::new(vec![t1, t2]).with_recording(true);
         let seq = engine.chase(&d, &ChaseBudget::stages(6));
@@ -1455,7 +1498,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let token = CancelToken::new();
         let budget = ChaseBudget::stages(10_000)
             .with_cancel(token.clone())
@@ -1486,7 +1529,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::default());
         assert!(run.reached_fixpoint());
         let cn = run.structure.existing_const_node(c).unwrap();
@@ -1502,7 +1545,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::stages(4));
         assert_eq!(run.firings.len(), run.triggers_fired());
         for (k, f) in run.firings.iter().enumerate() {
@@ -1533,7 +1576,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let run = engine.chase(&d, &ChaseBudget::default());
         assert!(run.reached_fixpoint());
         assert_eq!(run.structure.atom_count(), 3);
@@ -1560,6 +1603,10 @@ mod delta_tests {
 
     fn ga(p: PredId, args: &[u32]) -> GroundAtom {
         GroundAtom::new(p, args.iter().map(|&n| Node(n)).collect())
+    }
+
+    fn ground(d: &Structure) -> Vec<GroundAtom> {
+        d.atoms().map(|a| a.to_ground()).collect()
     }
 
     fn stage(applications: usize, atoms_after: usize, nodes_after: u32) -> StageInfo {
@@ -1590,7 +1637,7 @@ mod delta_tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..5).map(|_| d.fresh_node()).collect();
         for w in ns.windows(2) {
-            d.add(r, vec![w[0], w[1]]);
+            d.add(r, &[w[0], w[1]]);
         }
         let run = engine.chase(&d, &ChaseBudget::default());
         assert_eq!(run.outcome, ChaseOutcome::Fixpoint);
@@ -1611,7 +1658,7 @@ mod delta_tests {
         .iter()
         .map(|a| ga(r, a))
         .collect();
-        assert_eq!(run.structure.atoms(), &expected[..]);
+        assert_eq!(ground(&run.structure), expected);
         assert_eq!(
             run.stages,
             vec![stage(3, 7, 5), stage(3, 10, 5), stage(0, 10, 5)]
@@ -1640,12 +1687,12 @@ mod delta_tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(r, vec![x, y]);
+        d.add(r, &[x, y]);
         let run = engine.chase(&d, &ChaseBudget::default());
         assert_eq!(run.outcome, ChaseOutcome::Fixpoint);
         assert_eq!(
-            run.structure.atoms(),
-            &[ga(r, &[0, 1]), ga(s, &[1, 2]), ga(r, &[1, 1])]
+            ground(&run.structure),
+            [ga(r, &[0, 1]), ga(s, &[1, 2]), ga(r, &[1, 1])]
         );
         assert_eq!(
             run.stages,
@@ -1684,11 +1731,11 @@ mod delta_tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(r, vec![x, y]);
+        d.add(r, &[x, y]);
         let run = engine.chase(&d, &ChaseBudget::stages(12));
         assert_eq!(run.outcome, ChaseOutcome::StageBudgetExhausted);
         let path: Vec<GroundAtom> = (0..13).map(|i| ga(r, &[i, i + 1])).collect();
-        assert_eq!(run.structure.atoms(), &path[..]);
+        assert_eq!(ground(&run.structure), path);
         let expected: Vec<StageInfo> = (1..=12).map(|k| stage(1, k + 1, k as u32 + 2)).collect();
         assert_eq!(run.stages, expected);
     }
@@ -1709,7 +1756,7 @@ mod delta_tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..6).map(|_| d.fresh_node()).collect();
         for w in ns.windows(2) {
-            d.add(r, vec![w[0], w[1]]);
+            d.add(r, &[w[0], w[1]]);
         }
         // Renders slices as `tgd:full` or `tgd:k<position>@<delta rows>`.
         let shape = |slices: Vec<Slice<'_>>| -> Vec<String> {
@@ -1756,8 +1803,8 @@ mod delta_tests {
         let engine = ChaseEngine::new(vec![t1, t2]);
         let mut d = Structure::new(Arc::clone(&sig));
         let ns: Vec<Node> = (0..3).map(|_| d.fresh_node()).collect();
-        d.add(r, vec![ns[0], ns[1]]);
-        d.add(s, vec![ns[1], ns[2]]);
+        d.add(r, &[ns[0], ns[1]]);
+        d.add(s, &[ns[1], ns[2]]);
         let r1 = engine.chase(&d, &ChaseBudget::stages(8));
         let r2 = engine.chase(&d, &ChaseBudget::stages(8));
         assert_eq!(r1.structure.atoms(), r2.structure.atoms());

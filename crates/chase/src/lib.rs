@@ -39,7 +39,7 @@
 //!
 //! let mut d = Structure::new(Arc::clone(&sig));
 //! let (a, b) = (d.fresh_node(), d.fresh_node());
-//! d.add(r, vec![a, b]);
+//! d.add(r, &[a, b]);
 //! assert!(!engine.is_model(&d));
 //!
 //! let run = engine.chase(&d, &ChaseBudget::default());

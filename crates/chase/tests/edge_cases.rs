@@ -20,7 +20,7 @@ fn nullary_predicates_chase() {
     let t = Tgd::new_unchecked("t", vec![Atom::new(p, vec![])], vec![Atom::new(q, vec![])]);
     let engine = ChaseEngine::new(vec![t]);
     let mut d = Structure::new(Arc::clone(&sig));
-    d.add(p, vec![]);
+    d.add(p, &[]);
     let run = engine.chase(&d, &ChaseBudget::default());
     assert!(run.reached_fixpoint());
     assert!(run.structure.contains(q, &[]));
@@ -44,7 +44,7 @@ fn constants_only_tgd() {
     let mut d = Structure::new(Arc::clone(&sig));
     let n1 = d.node_for_const(c1);
     let x = d.fresh_node();
-    d.add(r, vec![n1, x]);
+    d.add(r, &[n1, x]);
     let run = engine.chase(&d, &ChaseBudget::default());
     assert!(run.reached_fixpoint());
     let n2 = run.structure.existing_const_node(c2).unwrap();
@@ -65,7 +65,7 @@ fn self_loop_body_matches_lazily() {
     let engine = ChaseEngine::new(vec![t]);
     let mut d = Structure::new(Arc::clone(&sig));
     let x = d.fresh_node();
-    d.add(r, vec![x, x]);
+    d.add(r, &[x, x]);
     let run = engine.chase(&d, &ChaseBudget::default());
     assert!(run.reached_fixpoint());
     assert_eq!(run.structure.atom_count(), 1);
@@ -80,7 +80,7 @@ fn empty_rule_set_is_immediate_fixpoint() {
     let mut d = Structure::new(Arc::clone(&sig));
     let x = d.fresh_node();
     let y = d.fresh_node();
-    d.add(r, vec![x, y]);
+    d.add(r, &[x, y]);
     let run = engine.chase(&d, &ChaseBudget::default());
     assert_eq!(run.outcome, ChaseOutcome::Fixpoint);
     assert_eq!(run.stage_count(), 1, "one empty stage proves the fixpoint");
@@ -125,7 +125,7 @@ fn two_tgds_feed_each_other_until_budget() {
     let mut d = Structure::new(Arc::clone(&sig));
     let x = d.fresh_node();
     let y = d.fresh_node();
-    d.add(r, vec![x, y]);
+    d.add(r, &[x, y]);
     let run = engine.chase(&d, &ChaseBudget::stages(10));
     assert_eq!(run.outcome, ChaseOutcome::StageBudgetExhausted);
     // Each stage adds at least one atom; both relations grow.
@@ -151,8 +151,8 @@ fn frontier_only_distinctness() {
     let x = d.fresh_node();
     let y1 = d.fresh_node();
     let y2 = d.fresh_node();
-    d.add(r, vec![x, y1]);
-    d.add(r, vec![x, y2]);
+    d.add(r, &[x, y1]);
+    d.add(r, &[x, y2]);
     let run = engine.chase(&d, &ChaseBudget::default());
     assert!(run.reached_fixpoint());
     assert_eq!(run.structure.pred_count(p), 1);
@@ -177,7 +177,7 @@ fn stage_structure_of_start_is_the_start() {
     let mut d = Structure::new(Arc::clone(&sig));
     let nc = d.node_for_const(c);
     let x = d.fresh_node();
-    d.add(r, vec![nc, x]);
+    d.add(r, &[nc, x]);
     let run = engine.chase(&d, &ChaseBudget::stages(4));
     let s0 = run.stage_structure(0);
     assert_eq!(s0.atoms(), d.atoms());

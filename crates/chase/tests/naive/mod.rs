@@ -174,7 +174,7 @@ fn apply(tgd: &Tgd, tuple: &[Node], d: &mut Structure) {
                 Term::Const(c) => d.node_for_const(*c),
             })
             .collect();
-        d.add(a.pred, args);
+        d.add(a.pred, &args);
     }
 }
 

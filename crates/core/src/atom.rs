@@ -84,11 +84,28 @@ impl Atom<Term> {
     }
 }
 
-impl GroundAtom {
-    /// Renders the ground atom using the given signature.
-    pub fn display_with<'a>(&'a self, sig: &'a Signature) -> impl fmt::Display + 'a {
+/// A fact of a [`Structure`](crate::Structure), borrowed from its
+/// argument table: the shape of a [`GroundAtom`] without owning the
+/// argument list. Structures hand these out; an owned [`GroundAtom`] is
+/// built only where one has to outlive the structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct AtomRef<'a> {
+    /// The predicate symbol.
+    pub pred: PredId,
+    /// The argument tuple.
+    pub args: &'a [Node],
+}
+
+impl<'a> AtomRef<'a> {
+    /// An owned copy.
+    pub fn to_ground(self) -> GroundAtom {
+        GroundAtom::new(self.pred, self.args.to_vec())
+    }
+
+    /// Renders the atom using the given signature.
+    pub fn display_with(self, sig: &'a Signature) -> impl fmt::Display + 'a {
         struct D<'a> {
-            atom: &'a GroundAtom,
+            atom: AtomRef<'a>,
             sig: &'a Signature,
         }
         impl fmt::Display for D<'_> {

@@ -52,7 +52,6 @@ fn proper_retraction(d: &Structure) -> Option<HashMap<Node, Node>> {
     // Pattern: every atom of d with nodes as variables (constants pinned).
     let pattern: Vec<crate::atom::Atom<Term>> = d
         .atoms()
-        .iter()
         .map(|a| crate::atom::Atom {
             pred: a.pred,
             args: a
@@ -123,9 +122,7 @@ pub fn compact(d: &Structure) -> Structure {
         };
         map.insert(n, img);
     }
-    for a in d.atoms() {
-        out.add(a.pred, a.args.iter().map(|n| map[n]).collect());
-    }
+    out.add_mapped(d, |n| map[&n]);
     out
 }
 
@@ -146,7 +143,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(sig));
         let ns: Vec<Node> = (0..k).map(|_| d.fresh_node()).collect();
         for i in 0..k {
-            d.add(e, vec![ns[i], ns[(i + 1) % k]]);
+            d.add(e, &[ns[i], ns[(i + 1) % k]]);
         }
         d
     }
@@ -180,10 +177,10 @@ mod tests {
         let t = d.fresh_node();
         let m1 = d.fresh_node();
         let m2 = d.fresh_node();
-        d.add(e, vec![s, m1]);
-        d.add(e, vec![m1, t]);
-        d.add(e, vec![s, m2]);
-        d.add(e, vec![m2, t]);
+        d.add(e, &[s, m1]);
+        d.add(e, &[m1, t]);
+        d.add(e, &[s, m2]);
+        d.add(e, &[m2, t]);
         assert!(!is_core(&d));
         let (core, map) = core_of(&d);
         assert_eq!(core.atom_count(), 2, "one 2-path remains");
@@ -199,8 +196,8 @@ mod tests {
         let mut d = cycle(&sig, 3);
         let p1 = d.fresh_node();
         let p2 = d.fresh_node();
-        d.add(e, vec![p1, Node(0)]);
-        d.add(e, vec![p2, p1]);
+        d.add(e, &[p1, Node(0)]);
+        d.add(e, &[p2, p1]);
         let (core, _) = core_of(&d);
         assert_eq!(core.atom_count(), 3);
         assert!(crate::iso::isomorphic(&core, &cycle(&sig, 3)));
@@ -216,8 +213,8 @@ mod tests {
         let na = d.node_for_const(ca);
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(e, vec![na, x]);
-        d.add(e, vec![na, y]);
+        d.add(e, &[na, x]);
+        d.add(e, &[na, y]);
         let (core, map) = core_of(&d);
         assert_eq!(core.atom_count(), 1);
         assert!(core.existing_const_node(ca).is_some());
@@ -233,7 +230,7 @@ mod tests {
         let c3 = cycle(&sig, 3);
         let mut dressed = cycle(&sig, 3);
         let p = dressed.fresh_node();
-        dressed.add(e, vec![p, Node(0)]);
+        dressed.add(e, &[p, Node(0)]);
         assert!(hom_equivalent(&dressed, &c3));
         let (kd, _) = core_of(&dressed);
         let (k3, _) = core_of(&c3);
@@ -249,7 +246,7 @@ mod tests {
         let x = d.fresh_node();
         let _gap2 = d.fresh_node();
         let y = d.fresh_node();
-        d.add(e, vec![x, y]);
+        d.add(e, &[x, y]);
         let c = compact(&d);
         assert_eq!(c.node_count(), 2);
         assert_eq!(c.atom_count(), 1);

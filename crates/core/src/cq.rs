@@ -134,7 +134,7 @@ impl Cq {
             map.insert(v, n);
         }
         for a in &self.body {
-            let args = a
+            let args: Vec<Node> = a
                 .args
                 .iter()
                 .map(|t| match t {
@@ -142,7 +142,7 @@ impl Cq {
                     Term::Const(c) => d.node_for_const(*c),
                 })
                 .collect();
-            d.add(a.pred, args);
+            d.add(a.pred, &args);
         }
         (d, map)
     }
@@ -295,9 +295,9 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let c = d.fresh_node();
-        d.add(r, vec![a, b]);
-        d.add(r, vec![b, c]);
-        d.add(r, vec![c, a]);
+        d.add(r, &[a, b]);
+        d.add(r, &[b, c]);
+        d.add(r, &[c, a]);
         (d, [a, b, c])
     }
 
@@ -384,8 +384,8 @@ mod tests {
         let nc = d.node_for_const(c);
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(r, vec![nc, x]);
-        d.add(r, vec![y, x]);
+        d.add(r, &[nc, x]);
+        d.add(r, &[y, x]);
         let q = Cq::parse(&sig, "Q(z) :- R(#c,z)").unwrap();
         let ans = q.eval(&d);
         assert_eq!(ans.len(), 1);

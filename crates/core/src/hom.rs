@@ -30,7 +30,7 @@
 
 pub mod wco;
 
-use crate::atom::{Atom, GroundAtom};
+use crate::atom::{Atom, AtomRef};
 use crate::fasthash::FastBuild;
 use crate::structure::{Node, Structure};
 use crate::term::{Term, Var};
@@ -596,7 +596,7 @@ impl<'p, 't> HomPlan<'p, 't> {
             if ai >= limit {
                 break;
             }
-            let cand = &self.target.atoms()[ai as usize];
+            let cand = self.target.atom(ai);
             let mark = trail.len();
             if self.try_bind(atom, cand, slots, trail) {
                 let flow = self.run(slots, order, trail, limits, depth + 1, visit);
@@ -668,7 +668,7 @@ impl<'p, 't> HomPlan<'p, 't> {
     fn try_bind(
         &self,
         atom: &PlanAtom,
-        cand: &GroundAtom,
+        cand: AtomRef<'_>,
         slots: &mut [Option<Node>],
         trail: &mut Vec<u32>,
     ) -> bool {
@@ -683,11 +683,11 @@ impl<'p, 't> HomPlan<'p, 't> {
 
     fn bind_args(
         atom: &PlanAtom,
-        cand: &GroundAtom,
+        cand: AtomRef<'_>,
         slots: &mut [Option<Node>],
         trail: &mut Vec<u32>,
     ) -> bool {
-        for (arg, &n) in atom.args.iter().zip(&cand.args) {
+        for (arg, &n) in atom.args.iter().zip(cand.args) {
             match arg {
                 PArg::Node(m) => {
                     if *m != n {
@@ -811,7 +811,6 @@ pub fn structure_homomorphism(
     // constant terms.
     let pattern: Vec<Atom<Term>> = source
         .atoms()
-        .iter()
         .map(|a| Atom {
             pred: a.pred,
             args: a
@@ -854,7 +853,7 @@ mod tests {
         let mut d = Structure::new(sig);
         let nodes: Vec<Node> = (0..=len).map(|_| d.fresh_node()).collect();
         for w in nodes.windows(2) {
-            d.add(e, vec![w[0], w[1]]);
+            d.add(e, &[w[0], w[1]]);
         }
         (d, nodes)
     }
@@ -906,8 +905,8 @@ mod tests {
         let na = d.node_for_const(a);
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(e, vec![na, x]);
-        d.add(e, vec![y, x]);
+        d.add(e, &[na, x]);
+        d.add(e, &[y, x]);
         let pattern = vec![Atom::new(e, vec![Term::Const(a), Term::Var(Var(0))])];
         let all = all_homomorphisms(&pattern, &d, &VarMap::new());
         assert_eq!(all.len(), 1);
@@ -923,7 +922,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(e, vec![x, y]);
+        d.add(e, &[x, y]);
         let pattern = vec![Atom::new(e, vec![Term::Const(a), Term::Var(Var(0))])];
         assert!(find_homomorphism(&pattern, &d, &VarMap::new()).is_none());
     }
@@ -955,8 +954,8 @@ mod tests {
         let mut cycle = Structure::new(sig);
         let u = cycle.fresh_node();
         let v = cycle.fresh_node();
-        cycle.add(e, vec![u, v]);
-        cycle.add(e, vec![v, u]);
+        cycle.add(e, &[u, v]);
+        cycle.add(e, &[v, u]);
         let h = structure_homomorphism(&path, &cycle).expect("path -> cycle exists");
         // All 4 active path nodes must be mapped.
         assert_eq!(h.len(), 4);
@@ -974,19 +973,19 @@ mod tests {
         let mut s1 = Structure::new(Arc::clone(&sig));
         let na = s1.node_for_const(a);
         let x = s1.fresh_node();
-        s1.add(e, vec![na, x]);
+        s1.add(e, &[na, x]);
         // Target where the constant has an edge: fine.
         let mut s2 = Structure::new(Arc::clone(&sig));
         let ma = s2.node_for_const(a);
         let y = s2.fresh_node();
-        s2.add(e, vec![ma, y]);
+        s2.add(e, &[ma, y]);
         let h = structure_homomorphism(&s1, &s2).unwrap();
         assert_eq!(h[&na], ma);
         // Target where only a non-constant node has the edge: must fail.
         let mut s3 = Structure::new(Arc::clone(&sig));
         let p = s3.fresh_node();
         let q = s3.fresh_node();
-        s3.add(e, vec![p, q]);
+        s3.add(e, &[p, q]);
         assert!(structure_homomorphism(&s1, &s3).is_none());
     }
 

@@ -1087,7 +1087,7 @@ mod tests {
         // A triangle 0→1→2→0 plus distracting edges that a single-index
         // scan would chase and the multi-way intersection prunes.
         for &(x, y) in &[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 3)] {
-            d.add(e, vec![n[x], n[y]]);
+            d.add(e, &[n[x], n[y]]);
         }
         (d, n)
     }
@@ -1157,9 +1157,9 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let na = d.node_for_const(a);
         let x = d.fresh_node();
-        d.add(e, vec![na, na]);
-        d.add(e, vec![na, x]);
-        d.add(e, vec![x, x]);
+        d.add(e, &[na, na]);
+        d.add(e, &[na, x]);
+        d.add(e, &[x, x]);
         // Self-loop query E(v,v): two matches.
         let loop_q = vec![Atom::new(e, vec![Term::Var(Var(0)), Term::Var(Var(0))])];
         assert_eq!(
@@ -1179,7 +1179,7 @@ mod tests {
         let sig2 = Arc::new(sig2);
         let mut d2 = Structure::new(sig2);
         let p = d2.fresh_node();
-        d2.add(e2, vec![p, p]);
+        d2.add(e2, &[p, p]);
         let dead_q = vec![Atom::new(e2, vec![Term::Const(b), Term::Var(Var(0))])];
         assert!(wco_all(&dead_q, &d2, &VarMap::new()).is_empty());
     }
@@ -1225,7 +1225,7 @@ mod tests {
         // Mutation moves the epoch; the plan is recomputed (possibly
         // identical, but keyed separately).
         let e = d.signature().predicate("E").unwrap();
-        d.add(e, vec![n[5], n[0]]);
+        d.add(e, &[n[5], n[0]]);
         let _ = WcoPlan::compile(&pattern, &d);
     }
 

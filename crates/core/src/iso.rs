@@ -79,7 +79,7 @@ fn backtrack(
 ) -> bool {
     if idx == an.len() {
         // All nodes mapped; verify the atom sets coincide under the mapping.
-        return a.atoms().iter().all(|atom| {
+        return a.atoms().all(|atom| {
             b.contains(
                 atom.pred,
                 &atom.args.iter().map(|n| mapping[n]).collect::<Vec<_>>(),
@@ -101,7 +101,7 @@ fn backtrack(
         used.insert(m);
         // Partial consistency: every fully-mapped atom of `a` touching n must
         // exist in b.
-        let consistent = a.atoms().iter().all(|atom| {
+        let consistent = a.atoms().all(|atom| {
             if !atom.args.contains(&n) {
                 return true;
             }
@@ -142,14 +142,14 @@ mod tests {
         let x = d1.fresh_node();
         let y = d1.fresh_node();
         let z = d1.fresh_node();
-        d1.add(e, vec![x, y]);
-        d1.add(e, vec![y, z]);
+        d1.add(e, &[x, y]);
+        d1.add(e, &[y, z]);
         let mut d2 = Structure::new(Arc::clone(&sig));
         let p = d2.fresh_node();
         let q = d2.fresh_node();
         let r = d2.fresh_node();
-        d2.add(e, vec![q, r]); // path r->... reordered creation
-        d2.add(e, vec![p, q]);
+        d2.add(e, &[q, r]); // path r->... reordered creation
+        d2.add(e, &[p, q]);
         assert!(isomorphic(&d1, &d2));
     }
 
@@ -162,14 +162,14 @@ mod tests {
         let a = path.fresh_node();
         let b = path.fresh_node();
         let c = path.fresh_node();
-        path.add(e, vec![a, b]);
-        path.add(e, vec![b, c]);
+        path.add(e, &[a, b]);
+        path.add(e, &[b, c]);
         let mut fork = Structure::new(Arc::clone(&sig));
         let p = fork.fresh_node();
         let q = fork.fresh_node();
         let r = fork.fresh_node();
-        fork.add(e, vec![p, q]);
-        fork.add(e, vec![p, r]);
+        fork.add(e, &[p, q]);
+        fork.add(e, &[p, r]);
         assert!(!isomorphic(&path, &fork));
     }
 
@@ -182,17 +182,17 @@ mod tests {
         let mut d1 = Structure::new(Arc::clone(&sig));
         let na = d1.node_for_const(ca);
         let x = d1.fresh_node();
-        d1.add(e, vec![na, x]);
+        d1.add(e, &[na, x]);
         let mut d2 = Structure::new(Arc::clone(&sig));
         let ma = d2.node_for_const(ca);
         let y = d2.fresh_node();
-        d2.add(e, vec![y, ma]);
+        d2.add(e, &[y, ma]);
         assert!(!isomorphic(&d1, &d2));
         // But E(a,x) vs E(a,y) are isomorphic.
         let mut d3 = Structure::new(Arc::clone(&sig));
         let ka = d3.node_for_const(ca);
         let z = d3.fresh_node();
-        d3.add(e, vec![ka, z]);
+        d3.add(e, &[ka, z]);
         assert!(isomorphic(&d1, &d3));
     }
 
@@ -204,7 +204,7 @@ mod tests {
             let mut d = Structure::new(Arc::clone(&sig));
             let ns: Vec<_> = (0..k).map(|_| d.fresh_node()).collect();
             for i in 0..k {
-                d.add(e, vec![ns[i], ns[(i + 1) % k]]);
+                d.add(e, &[ns[i], ns[(i + 1) % k]]);
             }
             d
         };
@@ -213,7 +213,7 @@ mod tests {
         for _ in 0..2 {
             let ns: Vec<_> = (0..3).map(|_| two_c3.fresh_node()).collect();
             for i in 0..3 {
-                two_c3.add(e, vec![ns[i], ns[(i + 1) % 3]]);
+                two_c3.add(e, &[ns[i], ns[(i + 1) % 3]]);
             }
         }
         assert!(!isomorphic(&c6, &two_c3));

@@ -33,8 +33,8 @@
 //! // A small structure: a 2-path.
 //! let mut d = Structure::new(Arc::clone(&sig));
 //! let (a, b, c) = (d.fresh_node(), d.fresh_node(), d.fresh_node());
-//! d.add(r, vec![a, b]);
-//! d.add(r, vec![b, c]);
+//! d.add(r, &[a, b]);
+//! d.add(r, &[b, c]);
 //!
 //! // Evaluate a conjunctive query over it.
 //! let q = Cq::parse(&sig, "Q(x,z) :- R(x,y), R(y,z)").unwrap();
@@ -59,7 +59,7 @@ pub mod signature;
 pub mod structure;
 pub mod term;
 
-pub use atom::{Atom, GroundAtom};
+pub use atom::{Atom, AtomRef, GroundAtom};
 pub use cancel::CancelToken;
 pub use core_of::{compact, core_of, hom_equivalent, is_core};
 pub use cq::{AnswerSet, Cq};
@@ -72,5 +72,5 @@ pub use hom::{
 };
 pub use iso::isomorphic;
 pub use signature::{ConstId, PredId, Signature};
-pub use structure::{Node, Structure};
+pub use structure::{Atoms, Node, Structure};
 pub use term::{Term, Var};

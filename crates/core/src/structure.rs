@@ -1,10 +1,11 @@
 //! Finite relational structures over a columnar index substrate.
 
-use crate::atom::GroundAtom;
-use crate::fasthash::FastBuild;
+use crate::atom::AtomRef;
+use crate::fasthash::{FastBuild, FxHasher};
 use crate::signature::{ConstId, PredId, Signature};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,20 +24,99 @@ fn next_structure_uid() -> u64 {
 /// column of argument nodes per position, and sorted per-position
 /// postings.
 ///
-/// `rows` holds the *global* atom indices (into [`Structure::atoms`]) of
-/// this predicate's atoms, in insertion order — and insertion order is
-/// ascending, so `rows` is sorted and prefix queries against a frozen
-/// snapshot boundary are a `partition_point`. `cols[pos][i]` is the
-/// argument at `pos` of the atom `rows[i]`. `postings[pos]` maps a node
-/// to the ascending global atom indices carrying it at `pos`; each
-/// posting list is sorted for the same reason `rows` is, which is what
-/// makes the worst-case-optimal search's k-way sorted intersections
-/// possible.
+/// `rows` holds the *global* atom ids of this predicate's atoms, in
+/// insertion order — and insertion order is ascending, so `rows` is
+/// sorted and prefix queries against a frozen snapshot boundary are a
+/// `partition_point`. `cols[pos][i]` is the argument at `pos` of the atom
+/// `rows[i]`. `postings[pos]` maps a node to the ascending global atom ids
+/// carrying it at `pos`; each posting list is sorted for the same reason
+/// `rows` is, which is what makes the worst-case-optimal search's k-way
+/// sorted intersections possible.
 #[derive(Debug, Clone, Default)]
 struct ColumnarRel {
     rows: Vec<u32>,
     cols: Vec<Vec<Node>>,
     postings: Vec<HashMap<Node, Vec<u32>, FastBuild>>,
+}
+
+/// One [`AtomIndex`] slot: an atom id and that atom's hash.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u32,
+    hash: u32,
+}
+
+/// The id of an empty [`AtomIndex`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// The dedup index of a [`Structure`]: a linear-probing hash set of atom
+/// ids. The atoms themselves stay in the structure's argument table; a
+/// slot holds only an id and the atom's 32-bit hash, so a probe reads an
+/// atom's arguments only on a full hash match, and growing the table
+/// re-slots the stored hashes without reading any atom. Load stays at
+/// most 3/4.
+#[derive(Debug, Clone, Default)]
+struct AtomIndex {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl AtomIndex {
+    /// Looks up the atom hashed `hash` that `same` accepts: `Ok(id)` if
+    /// present, else `Err(slot)`, the empty slot where it belongs.
+    fn probe(&self, hash: u32, same: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY {
+                return Err(i);
+            }
+            if slot.hash == hash && same(slot.id) {
+                return Ok(slot.id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Makes room for one more id. Call before the [`probe`](Self::probe)
+    /// whose empty slot is then [`fill`](Self::fill)ed.
+    fn reserve_one(&mut self) {
+        if (self.len + 1) * 4 <= self.slots.len() * 3 {
+            return;
+        }
+        let cap = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![Slot { id: EMPTY, hash: 0 }; cap]);
+        let mask = cap - 1;
+        for slot in old.into_iter().filter(|s| s.id != EMPTY) {
+            let mut i = slot.hash as usize & mask;
+            while self.slots[i].id != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Stores `id` in the empty `slot` a probe for `hash` returned.
+    fn fill(&mut self, slot: usize, hash: u32, id: u32) {
+        debug_assert_eq!(self.slots[slot].id, EMPTY);
+        self.slots[slot] = Slot { id, hash };
+        self.len += 1;
+    }
+}
+
+/// The dedup hash of `pred(args…)`: the high half of an fx hash, whose
+/// low half mixes poorly.
+fn atom_hash(pred: PredId, args: &[Node]) -> u32 {
+    let mut h = FxHasher::default();
+    h.write_u32(pred.0);
+    for n in args {
+        h.write_u32(n.0);
+    }
+    (h.finish() >> 32) as u32
 }
 
 /// A finite relational structure over a [`Signature`] (paper §II.A).
@@ -45,28 +125,36 @@ struct ColumnarRel {
 /// Constants of the signature are materialised as dedicated nodes on first
 /// use and are fixed by every homomorphism.
 ///
-/// Atoms are kept in insertion order (so iteration is deterministic) and
-/// deduplicated. Lookups are served by a per-predicate **columnar
-/// substrate** ([`ColumnarRel`]): a dense `Vec` indexed by [`PredId`]
-/// holding, for each predicate, its row list, one flat node column per
-/// argument position, and sorted per-position postings. The historical
-/// accessors (`atoms_with_pred*`, `pred_pos_node_index`, …) are thin
-/// views over this layout, so existing callers are unaffected; the
-/// columnar extras (`column`, `distinct_count`, `epoch`) feed the
-/// worst-case-optimal homomorphism search in `hom::wco`.
+/// Every atom is stored once, under its global id (insertion order, so
+/// iteration is deterministic): its predicate in a per-atom column and
+/// its arguments in a flat CSR table. Everything else indexes that id:
+///
+/// * a per-predicate **columnar substrate** ([`ColumnarRel`]), a dense
+///   `Vec` indexed by [`PredId`] holding the predicate's row list, one
+///   flat node column per argument position, and sorted per-position
+///   postings — the lookups of both homomorphism engines
+///   ([`pred_index`](Self::pred_index),
+///   [`pred_pos_node_index`](Self::pred_pos_node_index),
+///   [`column`](Self::column), [`distinct_count`](Self::distinct_count));
+/// * a dedup hash index of atom ids that hashes `(pred, args)` and
+///   compares against the CSR table, so insertions and
+///   [`contains`](Self::contains) probes allocate nothing per atom.
+///
+/// Atoms are handed out as borrowed [`AtomRef`] views; an owned
+/// [`GroundAtom`](crate::GroundAtom) is built only at API edges.
+/// Insertion is append-only, so the first `k` atoms of a grown structure
+/// are exactly the structure it was when it held `k` atoms.
 #[derive(Debug)]
 pub struct Structure {
     sig: Arc<Signature>,
-    atoms: Vec<GroundAtom>,
-    atom_set: HashSet<GroundAtom, FastBuild>,
-    rels: Vec<ColumnarRel>,
-    /// Flat CSR side table of every atom's arguments: atom `i`'s args are
-    /// `flat_args[arg_starts[i]..arg_starts[i+1]]`. The hom-search inner
-    /// loops read argument tuples by global atom id millions of times per
-    /// chase; this table serves them from one contiguous allocation
-    /// instead of chasing each [`GroundAtom`]'s own heap `Vec`.
+    /// Atom `i`'s predicate.
+    preds: Vec<PredId>,
+    /// Flat CSR table of every atom's arguments: atom `i`'s args are
+    /// `flat_args[arg_starts[i]..arg_starts[i+1]]`.
     flat_args: Vec<Node>,
     arg_starts: Vec<u32>,
+    rels: Vec<ColumnarRel>,
+    dedup: AtomIndex,
     node_count: u32,
     const_node: HashMap<ConstId, Node>,
     node_const: HashMap<Node, ConstId>,
@@ -83,11 +171,11 @@ impl Clone for Structure {
     fn clone(&self) -> Self {
         Structure {
             sig: Arc::clone(&self.sig),
-            atoms: self.atoms.clone(),
-            atom_set: self.atom_set.clone(),
-            rels: self.rels.clone(),
+            preds: self.preds.clone(),
             flat_args: self.flat_args.clone(),
             arg_starts: self.arg_starts.clone(),
+            rels: self.rels.clone(),
+            dedup: self.dedup.clone(),
             node_count: self.node_count,
             const_node: self.const_node.clone(),
             node_const: self.node_const.clone(),
@@ -102,11 +190,11 @@ impl Structure {
     pub fn new(sig: Arc<Signature>) -> Self {
         Structure {
             sig,
-            atoms: Vec::new(),
-            atom_set: HashSet::default(),
-            rels: Vec::new(),
+            preds: Vec::new(),
             flat_args: Vec::new(),
             arg_starts: vec![0],
+            rels: Vec::new(),
+            dedup: AtomIndex::default(),
             node_count: 0,
             const_node: HashMap::new(),
             node_const: HashMap::new(),
@@ -203,89 +291,103 @@ impl Structure {
     /// The set of nodes that occur in at least one atom or stand for a
     /// constant — the *active domain*.
     pub fn active_nodes(&self) -> BTreeSet<Node> {
-        let mut s: BTreeSet<Node> = self
-            .atoms
-            .iter()
-            .flat_map(|a| a.args.iter().copied())
-            .collect();
+        let mut s: BTreeSet<Node> = self.flat_args.iter().copied().collect();
         s.extend(self.const_node.values().copied());
         s
     }
 
-    /// Inserts a ground atom; returns `true` if it was new.
+    /// Looks up `pred(args…)` under its dedup `hash`: `Ok(id)` if the
+    /// structure contains it, else `Err(slot)`, the free index slot where
+    /// it belongs.
+    fn find(&self, pred: PredId, args: &[Node], hash: u32) -> Result<u32, usize> {
+        self.dedup.probe(hash, |id| {
+            self.preds[id as usize] == pred && self.args_of(id) == args
+        })
+    }
+
+    /// Inserts `pred(args…)`; returns `true` if it was new.
     ///
-    /// Maintains the columnar substrate incrementally: the atom's global
-    /// index is appended to the predicate's row list, each argument to its
-    /// position's column, and each `(position, node)` posting — all
-    /// appends of an ascending index, so every list stays sorted without
-    /// re-sorting. Bumps [`epoch`](Self::epoch).
+    /// Appends the atom to the predicate column and the CSR table under
+    /// the next global id, and maintains the columnar substrate
+    /// incrementally: the id is appended to the predicate's row list, each
+    /// argument to its position's column, and each `(position, node)`
+    /// posting — all appends of an ascending id, so every list stays
+    /// sorted without re-sorting. Bumps [`epoch`](Self::epoch).
     ///
     /// # Panics
     /// If the argument count does not match the predicate's arity, or an
     /// argument node was never allocated in this structure.
-    pub fn add_atom(&mut self, atom: GroundAtom) -> bool {
+    pub fn add(&mut self, pred: PredId, args: &[Node]) -> bool {
         assert!(
-            atom.args.len() == self.sig.arity(atom.pred),
+            args.len() == self.sig.arity(pred),
             "atom over `{}` has {} arguments, expected {} (declared arity of `{}`)",
-            self.sig.pred_name(atom.pred),
-            atom.args.len(),
-            self.sig.arity(atom.pred),
-            self.sig.pred_name(atom.pred)
+            self.sig.pred_name(pred),
+            args.len(),
+            self.sig.arity(pred),
+            self.sig.pred_name(pred)
         );
-        for &n in &atom.args {
+        for &n in args {
             assert!(n.0 < self.node_count, "node {n:?} not allocated");
         }
-        if self.atom_set.contains(&atom) {
-            return false;
-        }
-        let idx = self.atoms.len() as u32;
-        let pid = atom.pred.0 as usize;
+        self.insert_hashed(pred, args, atom_hash(pred, args))
+    }
+
+    /// [`add`](Self::add) past its argument checks, under a given dedup
+    /// hash (tests force collisions through it).
+    fn insert_hashed(&mut self, pred: PredId, args: &[Node], hash: u32) -> bool {
+        self.dedup.reserve_one();
+        let slot = match self.find(pred, args, hash) {
+            Ok(_) => return false,
+            Err(slot) => slot,
+        };
+        let idx = self.preds.len() as u32;
+        self.dedup.fill(slot, hash, idx);
+        let pid = pred.0 as usize;
         if self.rels.len() <= pid {
             self.rels.resize_with(pid + 1, ColumnarRel::default);
         }
         let rel = &mut self.rels[pid];
-        if rel.rows.is_empty() && rel.cols.len() != atom.args.len() {
-            rel.cols = vec![Vec::new(); atom.args.len()];
-            rel.postings = vec![HashMap::default(); atom.args.len()];
+        if rel.rows.is_empty() && rel.cols.len() != args.len() {
+            rel.cols = vec![Vec::new(); args.len()];
+            rel.postings = vec![HashMap::default(); args.len()];
         }
         rel.rows.push(idx);
-        for (pos, &n) in atom.args.iter().enumerate() {
+        for (pos, &n) in args.iter().enumerate() {
             rel.cols[pos].push(n);
             rel.postings[pos].entry(n).or_default().push(idx);
         }
-        self.flat_args.extend_from_slice(&atom.args);
+        self.preds.push(pred);
+        self.flat_args.extend_from_slice(args);
         self.arg_starts.push(self.flat_args.len() as u32);
         self.epoch += 1;
-        self.atom_set.insert(atom.clone());
-        self.atoms.push(atom);
         true
-    }
-
-    /// Convenience: allocate-and-insert `pred(args…)`.
-    pub fn add(&mut self, pred: PredId, args: Vec<Node>) -> bool {
-        self.add_atom(GroundAtom::new(pred, args))
-    }
-
-    /// Does the structure contain this exact atom?
-    pub fn contains_atom(&self, atom: &GroundAtom) -> bool {
-        self.atom_set.contains(atom)
     }
 
     /// Does the structure contain `pred(args…)`?
     pub fn contains(&self, pred: PredId, args: &[Node]) -> bool {
-        self.atom_set
-            .contains(&GroundAtom::new(pred, args.to_vec()))
+        self.find(pred, args, atom_hash(pred, args)).is_ok()
     }
 
     /// All atoms, in insertion order.
-    pub fn atoms(&self) -> &[GroundAtom] {
-        &self.atoms
+    pub fn atoms(&self) -> Atoms<'_> {
+        Atoms {
+            st: self,
+            front: 0,
+            end: self.preds.len() as u32,
+        }
     }
 
-    /// The argument tuple of the atom with global index `row`, served
-    /// from the flat CSR side table (one contiguous allocation — the
-    /// cache-friendly read path the hom-search inner loops use instead of
-    /// `atoms()[row].args`).
+    /// The atom with global id `id`.
+    pub fn atom(&self, id: u32) -> AtomRef<'_> {
+        AtomRef {
+            pred: self.preds[id as usize],
+            args: self.args_of(id),
+        }
+    }
+
+    /// The argument tuple of the atom with global id `row`, served from
+    /// the flat CSR table (one contiguous allocation — the cache-friendly
+    /// read path of the hom-search inner loops).
     pub fn args_of(&self, row: u32) -> &[Node] {
         let i = row as usize;
         &self.flat_args[self.arg_starts[i] as usize..self.arg_starts[i + 1] as usize]
@@ -293,7 +395,7 @@ impl Structure {
 
     /// Number of atoms.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.preds.len()
     }
 
     fn rel(&self, pred: PredId) -> Option<&ColumnarRel> {
@@ -301,10 +403,8 @@ impl Structure {
     }
 
     /// Atoms with the given predicate, in insertion order.
-    pub fn atoms_with_pred(&self, pred: PredId) -> impl Iterator<Item = &GroundAtom> {
-        self.pred_index(pred)
-            .iter()
-            .map(|&i| &self.atoms[i as usize])
+    pub fn atoms_with_pred(&self, pred: PredId) -> impl Iterator<Item = AtomRef<'_>> {
+        self.pred_index(pred).iter().map(|&i| self.atom(i))
     }
 
     /// Number of atoms with the given predicate.
@@ -318,10 +418,10 @@ impl Structure {
         pred: PredId,
         pos: u8,
         node: Node,
-    ) -> impl Iterator<Item = &GroundAtom> {
+    ) -> impl Iterator<Item = AtomRef<'_>> {
         self.pred_pos_node_index(pred, pos, node)
             .iter()
-            .map(|&i| &self.atoms[i as usize])
+            .map(|&i| self.atom(i))
     }
 
     /// Number of atoms matching (pred, pos, node) — used for index selection.
@@ -329,15 +429,15 @@ impl Structure {
         self.pred_pos_node_index(pred, pos, node).len()
     }
 
-    /// The raw by-predicate index: global atom indices (into
-    /// [`Self::atoms`]) with this predicate, ascending. A thin view of the
-    /// columnar row list; an absent predicate yields an empty slice.
+    /// The raw by-predicate index: global ids of the atoms with this
+    /// predicate, ascending. A thin view of the columnar row list; an
+    /// absent predicate yields an empty slice.
     pub fn pred_index(&self, pred: PredId) -> &[u32] {
         self.rel(pred).map_or(&[], |r| r.rows.as_slice())
     }
 
     /// The raw by-(predicate, position, node) posting: ascending global
-    /// atom indices carrying `node` at position `pos`. Companion of
+    /// atom ids carrying `node` at position `pos`. Companion of
     /// [`Self::pred_index`] for the hom-search hot paths; both engines
     /// rely on the ascending order (the legacy engine to stop prefix scans
     /// early, the wco engine for sorted intersection).
@@ -367,41 +467,22 @@ impl Structure {
             .map_or(0, HashMap::len)
     }
 
-    /// Like [`Self::atoms_with_pred`], restricted to the first `limit` atoms
-    /// (by insertion order). Row lists are ascending, so this is a prefix
-    /// scan. Used by the chase to enumerate triggers over a frozen stage
-    /// snapshot (paper §II.C: triggers range over `chaseᵢ`).
-    pub fn atoms_with_pred_limited(
-        &self,
-        pred: PredId,
-        limit: u32,
-    ) -> impl Iterator<Item = &GroundAtom> {
-        self.pred_index(pred)
-            .iter()
-            .take_while(move |&&i| i < limit)
-            .map(|&i| &self.atoms[i as usize])
-    }
-
-    /// Like [`Self::atoms_with_pred_pos_node`], restricted to the first
-    /// `limit` atoms by insertion order.
-    pub fn atoms_with_pred_pos_node_limited(
-        &self,
-        pred: PredId,
-        pos: u8,
-        node: Node,
-        limit: u32,
-    ) -> impl Iterator<Item = &GroundAtom> {
-        self.pred_pos_node_index(pred, pos, node)
-            .iter()
-            .take_while(move |&&i| i < limit)
-            .map(|&i| &self.atoms[i as usize])
-    }
-
     /// Is `self` a substructure of `other` (same signature family), i.e. is
     /// every atom of `self` an atom of `other`? Nodes are compared by
     /// identity, so this is the paper's literal substructure notion.
     pub fn is_substructure_of(&self, other: &Structure) -> bool {
-        self.atoms.iter().all(|a| other.contains_atom(a))
+        self.atoms().all(|a| other.contains(a.pred, a.args))
+    }
+
+    /// Inserts every atom of `src`, in order, with its nodes translated
+    /// by `map` (whose images must be allocated in `self`).
+    pub fn add_mapped(&mut self, src: &Structure, map: impl Fn(Node) -> Node) {
+        let mut args = Vec::new();
+        for a in src.atoms() {
+            args.clear();
+            args.extend(a.args.iter().map(|&n| map(n)));
+            self.add(a.pred, &args);
+        }
     }
 
     /// Copies all atoms of `other` into `self`, translating nodes.
@@ -421,10 +502,7 @@ impl Structure {
             };
             map.insert(n, image);
         }
-        for a in other.atoms() {
-            let args = a.args.iter().map(|n| map[n]).collect();
-            self.add(a.pred, args);
-        }
+        self.add_mapped(other, |n| map[&n]);
         map
     }
 
@@ -451,24 +529,26 @@ impl Structure {
             };
             map.insert(n, image);
         }
-        for a in &self.atoms {
-            let args = a.args.iter().map(|n| map[n]).collect();
-            q.add(a.pred, args);
-        }
+        q.add_mapped(self, |n| map[&n]);
         (q, map)
+    }
+
+    /// An atom-free structure over `sig` with this structure's domain
+    /// (node allocation and constants).
+    fn same_domain(&self, sig: Arc<Signature>) -> Structure {
+        let mut s = Structure::new(sig);
+        s.node_count = self.node_count;
+        s.const_node = self.const_node.clone();
+        s.node_const = self.node_const.clone();
+        s
     }
 
     /// A copy of this structure keeping only atoms selected by `keep`.
     /// The domain (node allocation, constants) is preserved unchanged.
-    pub fn filter_atoms(&self, keep: impl Fn(&GroundAtom) -> bool) -> Structure {
-        let mut s = Structure::new(Arc::clone(&self.sig));
-        s.node_count = self.node_count;
-        s.const_node = self.const_node.clone();
-        s.node_const = self.node_const.clone();
-        for a in &self.atoms {
-            if keep(a) {
-                s.add_atom(a.clone());
-            }
+    pub fn filter_atoms(&self, keep: impl Fn(AtomRef<'_>) -> bool) -> Structure {
+        let mut s = self.same_domain(Arc::clone(&self.sig));
+        for a in self.atoms().filter(|&a| keep(a)) {
+            s.add(a.pred, a.args);
         }
         s
     }
@@ -479,14 +559,58 @@ impl Structure {
     /// This implements the coloring maps `G(·)`, `R(·)` and `dalt(·)` of
     /// §IV at the structure level. Arities must be preserved by `f`.
     pub fn map_predicates(&self, sig: Arc<Signature>, f: impl Fn(PredId) -> PredId) -> Structure {
-        let mut s = Structure::new(sig);
-        s.node_count = self.node_count;
-        s.const_node = self.const_node.clone();
-        s.node_const = self.node_const.clone();
-        for a in &self.atoms {
-            s.add(f(a.pred), a.args.clone());
+        let mut s = self.same_domain(sig);
+        for a in self.atoms() {
+            s.add(f(a.pred), a.args);
         }
         s
+    }
+}
+
+/// The atoms of a [`Structure`] in insertion order, as borrowed
+/// [`AtomRef`]s; see [`Structure::atoms`]. Two listings are equal when
+/// they hold the same atoms in the same order.
+#[derive(Clone)]
+pub struct Atoms<'a> {
+    st: &'a Structure,
+    front: u32,
+    end: u32,
+}
+
+impl<'a> Iterator for Atoms<'a> {
+    type Item = AtomRef<'a>;
+
+    fn next(&mut self) -> Option<AtomRef<'a>> {
+        if self.front == self.end {
+            return None;
+        }
+        self.front += 1;
+        Some(self.st.atom(self.front - 1))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = (self.end - self.front) as usize;
+        (n, Some(n))
+    }
+
+    fn nth(&mut self, n: usize) -> Option<AtomRef<'a>> {
+        let left = (self.end - self.front) as usize;
+        self.front += n.min(left) as u32;
+        self.next()
+    }
+}
+
+impl ExactSizeIterator for Atoms<'_> {}
+
+impl PartialEq for Atoms<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        Iterator::eq(self.clone(), other.clone())
+    }
+}
+
+impl fmt::Debug for Atoms<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
     }
 }
 
@@ -496,9 +620,9 @@ impl fmt::Display for Structure {
             f,
             "structure ({} nodes, {} atoms):",
             self.node_count,
-            self.atoms.len()
+            self.atom_count()
         )?;
-        for a in &self.atoms {
+        for a in self.atoms() {
             writeln!(f, "  {}", a.display_with(&self.sig))?;
         }
         Ok(())
@@ -524,9 +648,9 @@ mod tests {
         let mut d = Structure::new(sig);
         let a = d.fresh_node();
         let b = d.fresh_node();
-        assert!(d.add(r, vec![a, b]));
-        assert!(!d.add(r, vec![a, b]));
-        assert!(d.add(r, vec![b, a]));
+        assert!(d.add(r, &[a, b]));
+        assert!(!d.add(r, &[a, b]));
+        assert!(d.add(r, &[b, a]));
         assert_eq!(d.atom_count(), 2);
         assert!(d.contains(r, &[a, b]));
         assert!(!d.contains(r, &[a, a]));
@@ -552,10 +676,10 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let c = d.fresh_node();
-        d.add(r, vec![a, b]);
-        d.add(r, vec![a, c]);
-        d.add(r, vec![b, c]);
-        d.add(s, vec![a]);
+        d.add(r, &[a, b]);
+        d.add(r, &[a, c]);
+        d.add(r, &[b, c]);
+        d.add(s, &[a]);
         assert_eq!(d.pred_count(r), 3);
         assert_eq!(d.atoms_with_pred_pos_node(r, 0, a).count(), 2);
         assert_eq!(d.atoms_with_pred_pos_node(r, 1, c).count(), 2);
@@ -570,9 +694,9 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let c = d.fresh_node();
-        d.add(r, vec![a, b]);
-        d.add(r, vec![b, c]);
-        d.add(r, vec![a, c]);
+        d.add(r, &[a, b]);
+        d.add(r, &[b, c]);
+        d.add(r, &[a, c]);
         // column(p, pos)[i] is the argument of atom pred_index(p)[i].
         assert_eq!(d.column(r, 0), &[a, b, a]);
         assert_eq!(d.column(r, 1), &[b, c, c]);
@@ -596,12 +720,12 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         assert_eq!(d.epoch(), e0, "node allocation does not move the epoch");
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let e1 = d.epoch();
         assert!(e1 > e0);
-        d.add(r, vec![a, b]); // duplicate: rejected, epoch unchanged
+        d.add(r, &[a, b]); // duplicate: rejected, epoch unchanged
         assert_eq!(d.epoch(), e1);
-        d.add(r, vec![b, a]);
+        d.add(r, &[b, a]);
         assert!(d.epoch() > e1);
     }
 
@@ -617,15 +741,89 @@ mod tests {
     }
 
     #[test]
+    fn mutating_a_clone_leaves_the_original_alone() {
+        let sig = sig2();
+        let r = sig.predicate("R").unwrap();
+        let s = sig.predicate("S").unwrap();
+        let mut d = Structure::new(sig);
+        let a = d.fresh_node();
+        let b = d.fresh_node();
+        d.add(r, &[a, b]);
+        let mut e = d.clone();
+        assert_ne!(e.uid(), d.uid(), "a clone gets a fresh uid");
+        assert_eq!(e.epoch(), d.epoch(), "and keeps the epoch");
+        let x = e.fresh_node();
+        assert!(e.add(r, &[b, b]));
+        assert!(e.add(s, &[x]));
+        assert!(!e.add(r, &[a, b]), "the clone shares the original's atoms");
+        assert_eq!(d.atom_count(), 1);
+        assert_eq!(d.node_count(), 2);
+        assert!(!d.contains(r, &[b, b]));
+        assert!(d.pred_index(s).is_empty());
+        assert_eq!(d.pred_pos_node_index(r, 0, b), &[] as &[u32]);
+        assert_eq!(d.column(r, 1), &[b]);
+        assert!(d.epoch() < e.epoch());
+        // The original grows independently: its next atom takes id 1.
+        assert!(d.add(r, &[b, a]));
+        assert_eq!(d.pred_index(r), &[0, 1]);
+        assert!(!e.contains(r, &[b, a]));
+    }
+
+    #[test]
+    fn index_tells_atoms_with_one_hash_apart() {
+        // Three atoms forced under one hash share a bucket and a probe
+        // run; only the argument comparison separates them, before and
+        // after the table grows.
+        let atoms: Vec<[u32; 2]> = (0..40).map(|i| [i % 7, i / 7]).collect();
+        let atoms = &atoms;
+        let same = |want: [u32; 2]| move |id: u32| atoms[id as usize] == want;
+        let mut index = AtomIndex::default();
+        for (id, &atom) in atoms.iter().enumerate() {
+            index.reserve_one();
+            let slot = index.probe(7, same(atom)).expect_err("not yet present");
+            index.fill(slot, 7, id as u32);
+            for (seen, &earlier) in atoms[..=id].iter().enumerate() {
+                assert_eq!(index.probe(7, same(earlier)), Ok(seen as u32));
+            }
+        }
+        assert!(index.slots.len() > 16, "the table grew");
+        assert!(index.probe(7, same([9, 9])).is_err());
+        assert!(index.probe(8, same(atoms[0])).is_err(), "other hash");
+    }
+
+    #[test]
+    fn atoms_with_one_hash_stay_distinct() {
+        // Three different atoms inserted under one forced hash share a
+        // bucket and a probe run: only the argument comparison against
+        // the CSR table tells them apart.
+        let sig = sig2();
+        let r = sig.predicate("R").unwrap();
+        let mut d = Structure::new(sig);
+        let a = d.fresh_node();
+        let b = d.fresh_node();
+        let atoms = [[a, b], [b, a], [a, a]];
+        for args in &atoms {
+            assert!(d.insert_hashed(r, args, 7));
+        }
+        for (id, args) in atoms.iter().enumerate() {
+            assert!(!d.insert_hashed(r, args, 7), "duplicate rejected");
+            assert_eq!(d.find(r, args, 7), Ok(id as u32));
+        }
+        assert!(d.find(r, &[b, b], 7).is_err());
+        assert_eq!(d.atom_count(), 3);
+        assert_eq!(d.pred_index(r), &[0, 1, 2]);
+    }
+
+    #[test]
     fn substructure_checks() {
         let sig = sig2();
         let r = sig.predicate("R").unwrap();
         let mut d1 = Structure::new(Arc::clone(&sig));
         let a = d1.fresh_node();
         let b = d1.fresh_node();
-        d1.add(r, vec![a, b]);
+        d1.add(r, &[a, b]);
         let mut d2 = d1.clone();
-        d2.add(r, vec![b, b]);
+        d2.add(r, &[b, b]);
         assert!(d1.is_substructure_of(&d2));
         assert!(!d2.is_substructure_of(&d1));
     }
@@ -638,11 +836,11 @@ mod tests {
         let mut d1 = Structure::new(Arc::clone(&sig));
         let cc = d1.node_for_const(c);
         let x = d1.fresh_node();
-        d1.add(r, vec![cc, x]);
+        d1.add(r, &[cc, x]);
         let mut d2 = Structure::new(Arc::clone(&sig));
         let cc2 = d2.node_for_const(c);
         let y = d2.fresh_node();
-        d2.add(r, vec![cc2, y]);
+        d2.add(r, &[cc2, y]);
         let map = d1.absorb(&d2);
         assert_eq!(map[&cc2], cc, "constant nodes are identified");
         assert_ne!(map[&y], x, "ordinary nodes stay disjoint");
@@ -657,8 +855,8 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let b2 = d.fresh_node();
-        d.add(r, vec![a, b]);
-        d.add(r, vec![a, b2]);
+        d.add(r, &[a, b]);
+        d.add(r, &[a, b2]);
         // fold b2 onto b
         let (q, map) = d.quotient(|n| if n == b2 { b } else { n });
         assert_eq!(map[&b], map[&b2]);
@@ -674,8 +872,8 @@ mod tests {
         let mut d = Structure::new(Arc::clone(&sig));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(r, vec![a, b]);
-        d.add(g, vec![b, a]);
+        d.add(r, &[a, b]);
+        d.add(g, &[b, a]);
         let only_r = d.filter_atoms(|at| at.pred == r);
         assert_eq!(only_r.atom_count(), 1);
         assert_eq!(only_r.node_count(), d.node_count(), "domain preserved");
@@ -686,12 +884,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "atom over `R` has 3 arguments, expected 2")]
-    fn add_atom_arity_panic_names_predicate_and_both_arities() {
+    fn add_arity_panic_names_predicate_and_both_arities() {
         let sig = sig2();
         let r = sig.predicate("R").unwrap();
         let mut d = Structure::new(sig);
         let a = d.fresh_node();
-        d.add(r, vec![a, a, a]);
+        d.add(r, &[a, a, a]);
     }
 
     #[test]
@@ -702,7 +900,7 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let _isolated = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let act = d.active_nodes();
         assert_eq!(act.len(), 2);
         assert!(act.contains(&a) && act.contains(&b));

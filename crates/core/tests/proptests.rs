@@ -22,10 +22,10 @@ fn build(sig: &Arc<Signature>, n: u32, r_edges: &[(u32, u32)], s_nodes: &[u32]) 
         d.fresh_node();
     }
     for &(x, y) in r_edges {
-        d.add(r, vec![Node(x % n), Node(y % n)]);
+        d.add(r, &[Node(x % n), Node(y % n)]);
     }
     for &x in s_nodes {
-        d.add(s, vec![Node(x % n)]);
+        d.add(s, &[Node(x % n)]);
     }
     d
 }

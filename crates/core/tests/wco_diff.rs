@@ -24,9 +24,9 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// thread-invariant: the final structure (byte-rendered), the stage
 /// count, and the number of applied triggers. `hom_nodes` and wall time
 /// are deliberately excluded — they are *supposed* to differ.
-fn digest(run: &cqfd_chase::ChaseRun) -> (String, usize, usize) {
+fn digest(out: &GreenGraph, run: &cqfd_chase::ChaseRun) -> (String, usize, usize) {
     (
-        run.structure.to_string(),
+        out.structure().to_string(),
         run.stage_count(),
         run.triggers_fired(),
     )
@@ -60,17 +60,17 @@ proptest! {
     ) {
         let reference = {
             let budget = separating_budget(60).with_hom_engine(HomEngine::Legacy);
-            let (_, run, found) = chase_from_lasso_with(n, p, &budget);
-            (digest(&run), found)
+            let (out, run, found) = chase_from_lasso_with(n, p, &budget);
+            (digest(&out, &run), found)
         };
         for engine in [HomEngine::Legacy, HomEngine::Wco] {
             for threads in THREADS {
                 let budget = separating_budget(60)
                     .with_threads(threads)
                     .with_hom_engine(engine);
-                let (_, run, found) = chase_from_lasso_with(n, p, &budget);
+                let (out, run, found) = chase_from_lasso_with(n, p, &budget);
                 prop_assert_eq!(
-                    &(digest(&run), found),
+                    &(digest(&out, &run), found),
                     &reference,
                     "lasso({}, {}) diverged under {:?} at {} threads",
                     n, p, engine, threads
@@ -133,8 +133,8 @@ proptest! {
         shape in 0usize..3,
     ) {
         let budget = separating_budget(40).with_hom_engine(HomEngine::Wco);
-        let (_, run, _) = chase_from_lasso_with(3, 1, &budget);
-        let d: &Structure = &run.structure;
+        let (out, _, _) = chase_from_lasso_with(3, 1, &budget);
+        let d: &Structure = out.structure();
         // Pick a binary predicate that actually has rows.
         let sig = d.signature();
         let preds: Vec<_> = (0..sig.pred_count() as u32)
@@ -184,16 +184,16 @@ fn rainworm_chases_agree_across_engines_and_threads() {
         };
         let reference = {
             let g = GreenGraph::di(Arc::clone(&space));
-            let (_, run) = sys.chase(&g, &budget.clone().with_hom_engine(HomEngine::Legacy));
-            digest(&run)
+            let (out, run) = sys.chase(&g, &budget.clone().with_hom_engine(HomEngine::Legacy));
+            digest(&out, &run)
         };
         for engine in [HomEngine::Legacy, HomEngine::Wco] {
             for threads in THREADS {
                 let g = GreenGraph::di(Arc::clone(&space));
                 let b = budget.clone().with_threads(threads).with_hom_engine(engine);
-                let (_, run) = sys.chase(&g, &b);
+                let (out, run) = sys.chase(&g, &b);
                 assert_eq!(
-                    digest(&run),
+                    digest(&out, &run),
                     reference,
                     "T_M∆ chase diverged under {engine:?} at {threads} threads"
                 );

@@ -73,8 +73,8 @@ impl<'a> Ranker<'a> {
     fn new(st: &'a Structure) -> Self {
         let domain: Vec<Node> = st.active_nodes().into_iter().collect();
         let mut by_node: HashMap<Node, Vec<u32>> = HashMap::new();
-        for (i, atom) in st.atoms().iter().enumerate() {
-            for &n in &atom.args {
+        for (i, atom) in st.atoms().enumerate() {
+            for &n in atom.args {
                 let v = by_node.entry(n).or_default();
                 if v.last() != Some(&(i as u32)) {
                     v.push(i as u32);
@@ -108,10 +108,10 @@ impl<'a> Ranker<'a> {
         }
         let mut atoms: BTreeSet<Vec<u64>> = BTreeSet::new();
         for &i in &candidates {
-            let atom = &self.st.atoms()[i as usize];
+            let atom = self.st.atom(i);
             if atom.args.iter().all(|n| inside.contains(n)) {
                 let mut enc = vec![atom.pred.0 as u64];
-                for n in &atom.args {
+                for n in atom.args {
                     enc.push(tuple.iter().position(|m| m == n).unwrap() as u64);
                 }
                 atoms.insert(enc);
@@ -194,7 +194,7 @@ mod tests {
         let mut d = Structure::new(sig);
         let ns: Vec<Node> = (0..n).map(|_| d.fresh_node()).collect();
         for w in ns.windows(2) {
-            d.add(e, vec![w[0], w[1]]);
+            d.add(e, &[w[0], w[1]]);
         }
         d
     }
@@ -205,7 +205,7 @@ mod tests {
         let mut d = Structure::new(sig);
         let ns: Vec<Node> = (0..n).map(|_| d.fresh_node()).collect();
         for i in 0..n {
-            d.add(e, vec![ns[i], ns[(i + 1) % n]]);
+            d.add(e, &[ns[i], ns[(i + 1) % n]]);
         }
         d
     }
@@ -242,7 +242,7 @@ mod tests {
         for _ in 0..2 {
             let ns: Vec<Node> = (0..3).map(|_| two_c3.fresh_node()).collect();
             for i in 0..3 {
-                two_c3.add(e, vec![ns[i], ns[(i + 1) % 3]]);
+                two_c3.add(e, &[ns[i], ns[(i + 1) % 3]]);
             }
         }
         assert!(ef_equivalent(&c6, &[], &two_c3, &[], 2));
@@ -280,7 +280,7 @@ mod tests {
             for _ in 0..k {
                 let x = d.fresh_node();
                 let y = d.fresh_node();
-                d.add(e, vec![x, y]);
+                d.add(e, &[x, y]);
             }
             d
         };
@@ -307,7 +307,7 @@ mod rank_finder_tests {
             let mut d = Structure::new(Arc::clone(&sig));
             let ns: Vec<Node> = (0..n).map(|_| d.fresh_node()).collect();
             for w in ns.windows(2) {
-                d.add(e, vec![w[0], w[1]]);
+                d.add(e, &[w[0], w[1]]);
             }
             d
         };

@@ -101,8 +101,8 @@ impl Theorem2World {
                 fragment.pin_constant(c, n);
             }
         }
-        for atom in &full.atoms()[lo..] {
-            fragment.add_atom(atom.clone());
+        for atom in full.atoms().skip(lo) {
+            fragment.add(atom.pred, atom.args);
         }
         let part = match color {
             Color::Green => gr.green_part(&fragment),
@@ -131,10 +131,7 @@ pub fn absorb_identifying(
         };
         map.insert(n, img);
     }
-    for atom in src.atoms() {
-        let args = atom.args.iter().map(|n| map[n]).collect();
-        dst.add(atom.pred, args);
-    }
+    dst.add_mapped(src, |n| map[&n]);
     map
 }
 

@@ -35,7 +35,7 @@ pub fn view_structure(
                 .iter()
                 .map(|n| *map.entry(*n).or_insert_with(|| out.fresh_node()))
                 .collect();
-            out.add(p, args);
+            out.add(p, &args);
         }
     }
     (out, map)
@@ -54,8 +54,8 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let c = d.fresh_node();
-        d.add(r, vec![a, b]);
-        d.add(r, vec![b, c]);
+        d.add(r, &[a, b]);
+        d.add(r, &[b, c]);
         let q1 = Cq::parse(&sig, "V1(x) :- R(x,y)").unwrap();
         let q2 = Cq::parse(&sig, "V2(x,z) :- R(x,y), R(y,z)").unwrap();
         let (v, map) = view_structure(&[q1, q2], &d, &[a]);
@@ -95,7 +95,7 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let _lonely = d.fresh_node();
-        d.add(r, vec![a, b]);
+        d.add(r, &[a, b]);
         let q = Cq::parse(&sig, "V(x,y) :- R(x,y)").unwrap();
         let (v, map) = view_structure(&[q], &d, &[]);
         assert_eq!(v.node_count(), 2, "only answer nodes materialise");

@@ -84,7 +84,7 @@ impl GreenGraph {
 
     /// Adds the edge `H_ℓ(from, to)`; returns `true` if new.
     pub fn add_edge(&mut self, l: Label, from: Node, to: Node) -> bool {
-        self.st.add(self.space.pred(l), vec![from, to])
+        self.st.add(self.space.pred(l), &[from, to])
     }
 
     /// Does the edge `H_ℓ(from, to)` exist?
@@ -96,7 +96,6 @@ impl GreenGraph {
     pub fn edges(&self) -> impl Iterator<Item = (Label, Node, Node)> + '_ {
         self.st
             .atoms()
-            .iter()
             .map(|a| (self.space.label_of(a.pred), a.args[0], a.args[1]))
     }
 

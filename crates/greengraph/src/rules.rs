@@ -165,11 +165,14 @@ impl L2System {
         ChaseEngine::new(self.tgds(space))
     }
 
-    /// Chases a green graph under this system.
+    /// Chases a green graph under this system. The chased structure is
+    /// moved into the returned graph (see [`ChaseRun::take_structure`]):
+    /// read it there, and its size off the run's
+    /// [`atom_count`](ChaseRun::atom_count).
     pub fn chase(&self, g: &GreenGraph, budget: &ChaseBudget) -> (GreenGraph, ChaseRun) {
         let engine = self.engine(g.space());
-        let run = engine.chase(g.structure(), budget);
-        let out = GreenGraph::from_structure(Arc::clone(g.space()), run.structure.clone());
+        let mut run = engine.chase(g.structure(), budget);
+        let out = GreenGraph::from_structure(Arc::clone(g.space()), run.take_structure());
         (out, run)
     }
 
@@ -179,6 +182,9 @@ impl L2System {
     /// This is the semi-decision procedure for "`T` leads to the red
     /// spider" on the chase side (Definition 11 at Level 2): if
     /// `chase(T, DI)` develops a 1-2 pattern, every model does.
+    ///
+    /// As with [`chase`](Self::chase), the chased structure is moved into
+    /// the returned graph.
     pub fn chase_until_12(
         &self,
         g: &GreenGraph,
@@ -186,11 +192,11 @@ impl L2System {
     ) -> (GreenGraph, ChaseRun, bool) {
         let engine = self.engine(g.space());
         let space = Arc::clone(g.space());
-        let run = engine.chase_with_monitor(g.structure(), budget, |st, _| {
+        let mut run = engine.chase_with_monitor(g.structure(), budget, |st, _| {
             has_12_in_structure(&space, st)
         });
         let found = has_12_in_structure(&space, &run.structure);
-        let out = GreenGraph::from_structure(space, run.structure.clone());
+        let out = GreenGraph::from_structure(space, run.take_structure());
         (out, run, found)
     }
 

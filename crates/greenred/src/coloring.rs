@@ -182,7 +182,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(gr.base()));
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(r, vec![x, y]);
+        d.add(r, &[x, y]);
         for color in [Color::Green, Color::Red] {
             let painted = gr.color_structure(color, &d);
             let back = gr.dalt_structure(&painted);
@@ -197,8 +197,8 @@ mod tests {
         let mut d = Structure::new(Arc::clone(gr.colored()));
         let x = d.fresh_node();
         let y = d.fresh_node();
-        d.add(gr.green(r), vec![x, y]);
-        d.add(gr.red(r), vec![y, x]);
+        d.add(gr.green(r), &[x, y]);
+        d.add(gr.red(r), &[y, x]);
         assert_eq!(gr.green_part(&d).atom_count(), 1);
         assert_eq!(gr.red_part(&d).atom_count(), 1);
         assert_eq!(
@@ -235,8 +235,8 @@ mod tests {
         let n0 = d0.fresh_node();
         let n1 = d0.fresh_node();
         let n2 = d0.fresh_node();
-        d0.add(r, vec![n0, n1]);
-        d0.add(r, vec![n1, n2]);
+        d0.add(r, &[n0, n1]);
+        d0.add(r, &[n1, n2]);
         let green_d = gr.color_structure(Color::Green, &d0);
         let run = engine.chase(&green_d, &ChaseBudget::stages(8));
         let dalt_chase = gr.dalt_structure(&run.structure);

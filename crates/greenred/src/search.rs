@@ -56,7 +56,12 @@ pub fn is_counterexample(
 
 /// Brute-force search for a finite counter-example over at most `max_nodes`
 /// nodes. Returns the first one found (smallest domain, then enumeration
-/// order), or `None`.
+/// order) together with its witness tuple, or `None`.
+///
+/// A returned structure is verified exactly as [`is_counterexample`]
+/// verifies one (colored answers, then `T_Q`), and the tuple is the
+/// witness that function would report, so callers need not check it
+/// again.
 ///
 /// Only signatures whose colored atom space over the domain fits in 24 bits
 /// are searched (larger spaces would take > 16M structures); beyond that the
@@ -68,7 +73,7 @@ pub fn search_counterexample(
     views: &[Cq],
     q0: &Cq,
     max_nodes: usize,
-) -> Option<Structure> {
+) -> Option<(Structure, Vec<Node>)> {
     let gr: &GreenRed = oracle.greenred();
     let sig = Arc::clone(gr.colored());
     let n_consts = sig.const_count();
@@ -119,16 +124,17 @@ pub fn search_counterexample(
             }
             for (i, (p, args)) in slots.iter().enumerate() {
                 if mask & (1 << i) != 0 {
-                    d.add(*p, args.clone());
+                    d.add(*p, args);
                 }
             }
             // Cheap check first: do the colored answers differ?
             let (green, red) = oracle.colored_answers(q0, &d);
-            if green == red {
+            let Some(witness) = green.symmetric_difference(&red).next() else {
                 continue;
-            }
+            };
             if oracle.satisfies_tq(views, &d) {
-                return Some(d);
+                let witness = witness.clone();
+                return Some((d, witness));
             }
         }
     }
@@ -154,12 +160,12 @@ mod tests {
         let v = Cq::parse(&sig, "V(x) :- R(x,y)").unwrap();
         let q0 = Cq::parse(&sig, "Q0(x,y) :- R(x,y)").unwrap();
         let oracle = DeterminacyOracle::new(sig);
-        let found = search_counterexample(&oracle, std::slice::from_ref(&v), &q0, 3)
+        let (found, witness) = search_counterexample(&oracle, std::slice::from_ref(&v), &q0, 3)
             .expect("search must find the classic projection counter-example");
         let report = is_counterexample(&oracle, &[v], &q0, &found);
         assert!(report.is_counterexample);
         assert!(report.satisfies_tq);
-        assert!(report.witness.is_some());
+        assert_eq!(report.witness, Some(witness));
     }
 
     #[test]
@@ -183,8 +189,8 @@ mod tests {
         let a = d.fresh_node();
         let b = d.fresh_node();
         let c = d.fresh_node();
-        d.add(gr.green(r), vec![a, b]);
-        d.add(gr.red(r), vec![a, c]);
+        d.add(gr.green(r), &[a, b]);
+        d.add(gr.red(r), &[a, c]);
         let report = is_counterexample(&oracle, &[v], &q0, &d);
         assert!(report.is_counterexample);
     }
@@ -201,7 +207,7 @@ mod tests {
         let mut d = Structure::new(Arc::clone(gr.colored()));
         let a = d.fresh_node();
         let b = d.fresh_node();
-        d.add(gr.green(r), vec![a, b]);
+        d.add(gr.green(r), &[a, b]);
         let report = is_counterexample(&oracle, &[v], &q0, &d);
         assert!(!report.is_counterexample);
         assert!(!report.satisfies_tq);

@@ -123,8 +123,8 @@ mod tests {
         let a = d1.fresh_node();
         let b = d1.fresh_node();
         let c = d1.fresh_node();
-        d1.add(gr.green(r), vec![a, b]);
-        d1.add(gr.red(r), vec![a, c]);
+        d1.add(gr.green(r), &[a, b]);
+        d1.add(gr.red(r), &[a, c]);
         assert_eq!(green_q.eval(&d1), red_q.eval(&d1));
         assert!(engine.is_model(&d1));
 
@@ -132,7 +132,7 @@ mod tests {
         let mut d2 = Structure::new(Arc::clone(gr.colored()));
         let a2 = d2.fresh_node();
         let b2 = d2.fresh_node();
-        d2.add(gr.green(r), vec![a2, b2]);
+        d2.add(gr.green(r), &[a2, b2]);
         assert_ne!(green_q.eval(&d2), red_q.eval(&d2));
         assert!(!engine.is_model(&d2));
     }

@@ -74,7 +74,7 @@ pub fn precompile_map(
     let sys = L1System::new(pre.rules.clone());
     let engine = cqfd_chase::ChaseEngine::new(sys.tgds(&ctx));
     let run = engine.chase(sw.structure(), &ChaseBudget::stages(1));
-    let out = Swarm::from_structure(ctx, run.structure.clone());
+    let out = Swarm::from_structure(ctx, run.structure);
     (out, map[&g.a()], map[&g.b()])
 }
 
@@ -168,7 +168,7 @@ mod tests {
         let (sw, _, _) = Swarm::green_seed(Arc::clone(&ctx));
         let engine = cqfd_chase::ChaseEngine::new(sys.tgds(&ctx));
         let run = engine.chase(sw.structure(), &ChaseBudget::stages(6));
-        let out = Swarm::from_structure(Arc::clone(&ctx), run.structure.clone());
+        let out = Swarm::from_structure(Arc::clone(&ctx), run.structure);
         for e in out.edges() {
             let lower = e.spider.flips.lower.is_some();
             let red = e.spider.base == Color::Red;

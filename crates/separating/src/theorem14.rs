@@ -107,7 +107,7 @@ mod tests {
             found,
             "1-2 pattern must emerge from the folded model (ran {} stages, {} atoms)",
             run.stage_count(),
-            run.structure.atom_count()
+            run.atom_count()
         );
     }
 

@@ -9,7 +9,7 @@ use cqfd_cert::{convert, Certificate};
 use cqfd_chase::{ChaseBudget, ChaseHooks, ChaseOutcome, ChaseRun};
 use cqfd_core::{
     find_homomorphism, hom_nodes_explored, publish_hom_metrics, reset_hom_nodes_explored,
-    CancelToken, VarMap,
+    CancelToken, Node, VarMap,
 };
 use cqfd_greenred::{
     cq_rewriting, greenred_tgds, search_counterexample, Color, DeterminacyOracle, Verdict,
@@ -415,8 +415,8 @@ fn chase_budget(budget: &JobBudget, cancel: &CancelToken, thread_cap: usize) -> 
 fn record_run(metrics: &mut JobMetrics, run: &ChaseRun) {
     metrics.stages += run.stage_count();
     metrics.triggers += run.triggers_fired();
-    metrics.peak_atoms = metrics.peak_atoms.max(run.structure.atom_count());
-    metrics.peak_nodes = metrics.peak_nodes.max(run.structure.node_count());
+    metrics.peak_atoms = metrics.peak_atoms.max(run.atom_count());
+    metrics.peak_nodes = metrics.peak_nodes.max(run.node_count());
     metrics.termination = Some(run.termination.name());
 }
 
@@ -512,7 +512,7 @@ fn run_job(
                 }
             }
             if budget.emit_certificate || force_cert {
-                *certificate = Some(cqfd_cert::encode(&cr.certificate));
+                *certificate = emit_certificate(|| Some(cr.certificate));
             }
             outcome
         }
@@ -539,18 +539,15 @@ fn run_job(
                 // Re-creeping for the trace is cheap relative to the reduction
                 // pipelines these worms feed; a budget-exhausted run gets no
                 // certificate (there is no conclusive claim to certify).
-                match outcome {
-                    JobOutcome::Halted { steps } => {
-                        let cert =
-                            cqfd_cert::emit::creep_certificate(delta, steps + 1, checkpoint(steps));
-                        *certificate = Some(cqfd_cert::encode(&cert));
-                    }
-                    JobOutcome::StillCreeping { steps } => {
-                        let cert =
-                            cqfd_cert::emit::creep_certificate(delta, steps, checkpoint(steps));
-                        *certificate = Some(cqfd_cert::encode(&cert));
-                    }
-                    _ => {}
+                let traced = match outcome {
+                    JobOutcome::Halted { steps } => Some((steps + 1, checkpoint(steps))),
+                    JobOutcome::StillCreeping { steps } => Some((steps, checkpoint(steps))),
+                    _ => None,
+                };
+                if let Some((steps, every)) = traced {
+                    *certificate = emit_certificate(|| {
+                        Some(cqfd_cert::emit::creep_certificate(delta, steps, every))
+                    });
                 }
             }
             outcome
@@ -582,8 +579,7 @@ fn run_job(
                 };
             }
             if (budget.emit_certificate || force_cert) && lasso_pattern {
-                *certificate =
-                    cqfd_cert::emit::pattern_certificate(&g_lasso).map(|c| cqfd_cert::encode(&c));
+                *certificate = emit_certificate(|| cqfd_cert::emit::pattern_certificate(&g_lasso));
             }
             JobOutcome::Separated {
                 di_pattern,
@@ -619,13 +615,17 @@ fn run_job(
                 }
                 if matches!(cr.verdict, Verdict::NotDeterminedUnrestricted { .. }) {
                     let d = &cr.run.structure;
-                    let report = cqfd_greenred::is_counterexample(&oracle, views, q0, d);
-                    if report.is_counterexample {
+                    let report = {
+                        let _span = span!("countermodel.verify", atoms = d.atom_count());
+                        cqfd_greenred::is_counterexample(&oracle, views, q0, d)
+                    };
+                    if let Some(witness) = report.witness.filter(|_| report.is_counterexample) {
                         metrics.route = Some(Route::ChaseModel.as_str());
                         crate::dispatch::note_routed(class.fragment);
                         if budget.emit_certificate || force_cert {
-                            *certificate = counterexample_certificate(&oracle, views, q0, d)
-                                .map(|c| cqfd_cert::encode(&c));
+                            *certificate = emit_certificate(|| {
+                                counterexample_certificate(&oracle, views, q0, d, &witness)
+                            });
                         }
                         return JobOutcome::CounterexampleFound {
                             atoms: d.atom_count(),
@@ -639,12 +639,13 @@ fn run_job(
             }
             metrics.route = Some(Route::Semi.as_str());
             match search_counterexample(&oracle, views, q0, budget.max_search_nodes) {
-                Some(d) => {
+                Some((d, witness)) => {
                     metrics.peak_atoms = metrics.peak_atoms.max(d.atom_count());
                     metrics.peak_nodes = metrics.peak_nodes.max(d.node_count());
                     if budget.emit_certificate || force_cert {
-                        *certificate = counterexample_certificate(&oracle, views, q0, &d)
-                            .map(|c| cqfd_cert::encode(&c));
+                        *certificate = emit_certificate(|| {
+                            counterexample_certificate(&oracle, views, q0, &d, &witness)
+                        });
                     }
                     JobOutcome::CounterexampleFound {
                         atoms: d.atom_count(),
@@ -652,17 +653,18 @@ fn run_job(
                 }
                 None => {
                     if budget.emit_certificate || force_cert {
-                        let cert = Certificate::NonHomRefutation {
-                            sig: convert::sig_spec(oracle.greenred().colored()),
-                            what: format!(
-                                "exhaustive search found no counter-example to `{}` \
-                                 determinacy over ≤ {} nodes",
-                                q0.name, budget.max_search_nodes
-                            ),
-                            bound: budget.max_search_nodes.max(1) as u64,
-                            explored: hom_nodes_explored(),
-                        };
-                        *certificate = Some(cqfd_cert::encode(&cert));
+                        *certificate = emit_certificate(|| {
+                            Some(Certificate::NonHomRefutation {
+                                sig: convert::sig_spec(oracle.greenred().colored()),
+                                what: format!(
+                                    "exhaustive search found no counter-example to `{}` \
+                                     determinacy over ≤ {} nodes",
+                                    q0.name, budget.max_search_nodes
+                                ),
+                                bound: budget.max_search_nodes.max(1) as u64,
+                                explored: hom_nodes_explored(),
+                            })
+                        });
                     }
                     JobOutcome::NoCounterexample {
                         nodes: budget.max_search_nodes,
@@ -795,20 +797,25 @@ fn checkpoint(steps: usize) -> usize {
     (steps / 64).max(1)
 }
 
-/// Builds the [`Certificate::FiniteModel`] for a found counter-example:
-/// `d` models `T_Q`, and at the disagreeing tuple one color of `Q0` holds
-/// (witnessed) while the other fails.
+/// Builds and encodes a job's certificate under the `cert.emit` span.
+fn emit_certificate(build: impl FnOnce() -> Option<Certificate>) -> Option<String> {
+    let _span = span!("cert.emit");
+    build().map(|c| cqfd_cert::encode(&c))
+}
+
+/// Builds the [`Certificate::FiniteModel`] for a verified counter-example:
+/// `d` models `T_Q`, and at the disagreeing `tuple` one color of `Q0`
+/// holds (witnessed) while the other fails.
 fn counterexample_certificate(
     oracle: &DeterminacyOracle,
     views: &[cqfd_core::Cq],
     q0: &cqfd_core::Cq,
     d: &cqfd_core::Structure,
+    tuple: &[Node],
 ) -> Option<Certificate> {
-    let report = cqfd_greenred::is_counterexample(oracle, views, q0, d);
-    let tuple = report.witness?;
     let green = oracle.colored_query(Color::Green, q0);
     let red = oracle.colored_query(Color::Red, q0);
-    let (holds_q, fails_q) = if green.holds(d, &tuple) {
+    let (holds_q, fails_q) = if green.holds(d, tuple) {
         (green, red)
     } else {
         (red, green)
@@ -825,8 +832,8 @@ fn counterexample_certificate(
         sig: convert::sig_spec(oracle.greenred().colored()),
         rules: tgds.iter().map(convert::rule_spec).collect(),
         structure: convert::struct_spec(d),
-        holds: vec![convert::holds_claim(&holds_q, &tuple, &witness)],
-        fails: vec![convert::fails_claim(&fails_q, &tuple)],
+        holds: vec![convert::holds_claim(&holds_q, tuple, &witness)],
+        fails: vec![convert::fails_claim(&fails_q, tuple)],
     })
 }
 

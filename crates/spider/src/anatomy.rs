@@ -247,13 +247,13 @@ impl SpiderContext {
     ) -> Node {
         let gr = &self.gr;
         let h = d.fresh_node();
-        d.add(gr.colorize(spider.base, self.head), vec![h, tail, antenna]);
+        d.add(gr.colorize(spider.base, self.head), &[h, tail, antenna]);
         let c0 = d.node_for_const(self.c0);
         for leg in self.legs().collect::<Vec<_>>() {
             let knee = d.fresh_node();
-            d.add(gr.colorize(spider.base, self.thigh(leg)), vec![h, knee]);
+            d.add(gr.colorize(spider.base, self.thigh(leg)), &[h, knee]);
             let calf_color = self.leg_color(spider, leg);
-            d.add(gr.colorize(calf_color, self.calf(leg)), vec![knee, c0]);
+            d.add(gr.colorize(calf_color, self.calf(leg)), &[knee, c0]);
         }
         h
     }
@@ -268,7 +268,7 @@ impl SpiderContext {
     pub fn spider_at(
         &self,
         d: &Structure,
-        head_atom: &cqfd_core::GroundAtom,
+        head_atom: cqfd_core::AtomRef<'_>,
     ) -> Option<(IdealSpider, Node, Node)> {
         let (base, p) = self.gr.decompose(head_atom.pred);
         if p != self.head {

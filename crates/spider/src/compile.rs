@@ -42,15 +42,15 @@ pub fn compile_swarm(
         let head = d.fresh_node();
         d.add(
             gr.colorize(e.spider.base, ctx.head_pred()),
-            vec![head, node_map[&e.tail], node_map[&e.antenna]],
+            &[head, node_map[&e.tail], node_map[&e.antenna]],
         );
         for leg in ctx.legs().collect::<Vec<_>>() {
             let color = ctx.leg_color(e.spider, leg);
             let knee = *knees
                 .entry((leg.upper, leg.idx, color))
                 .or_insert_with(|| d.fresh_node());
-            d.add(gr.colorize(e.spider.base, ctx.thigh(leg)), vec![head, knee]);
-            d.add(gr.colorize(color, ctx.calf(leg)), vec![knee, c0]);
+            d.add(gr.colorize(e.spider.base, ctx.thigh(leg)), &[head, knee]);
+            d.add(gr.colorize(color, ctx.calf(leg)), &[knee, c0]);
         }
     }
     (d, node_map)

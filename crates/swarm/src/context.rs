@@ -106,14 +106,13 @@ impl Swarm {
 
     /// Adds `H(S, tail, antenna)`.
     pub fn add_edge(&mut self, s: IdealSpider, tail: Node, antenna: Node) -> bool {
-        self.st.add(self.ctx.pred(s), vec![tail, antenna])
+        self.st.add(self.ctx.pred(s), &[tail, antenna])
     }
 
     /// All edges in spider vocabulary.
     pub fn edges(&self) -> Vec<SwarmEdge> {
         self.st
             .atoms()
-            .iter()
             .map(|a| SwarmEdge {
                 spider: self.ctx.spider_of(a.pred),
                 tail: a.args[0],

@@ -259,7 +259,7 @@ fn e_det() {
             "—".to_string()
         } else {
             match search_counterexample(&oracle, &vq, &q0, 3) {
-                Some(d) => format!("{} atoms", d.atom_count()),
+                Some((d, _)) => format!("{} atoms", d.atom_count()),
                 None => "none ≤ 3 nodes".into(),
             }
         };

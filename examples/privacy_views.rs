@@ -18,7 +18,7 @@
 //! department.
 
 use cqfd::core::{Cq, Signature};
-use cqfd::greenred::{is_counterexample, search_counterexample, DeterminacyOracle, Verdict};
+use cqfd::greenred::{search_counterexample, DeterminacyOracle, Verdict};
 
 fn main() {
     let mut sig = Signature::new();
@@ -72,13 +72,11 @@ fn main() {
     }
     // Produce a concrete privacy witness: two databases with identical
     // views but different secrets.
-    match search_counterexample(&oracle, &[v1.clone(), v2.clone()], &secret, 4) {
-        Some(d) => {
-            let report = is_counterexample(&oracle, &[v1, v2], &secret, &d);
+    match search_counterexample(&oracle, &[v1, v2], &secret, 4) {
+        Some((d, witness)) => {
             println!(
-                "   privacy witness found: {} atoms, views agree, secret differs at {:?}",
-                d.atom_count(),
-                report.witness
+                "   privacy witness found: {} atoms, views agree, secret differs at {witness:?}",
+                d.atom_count()
             );
         }
         None => println!("   (no small witness found — larger domains would be needed)"),

@@ -60,7 +60,7 @@ fn main() {
         other => println!("   unexpected: {other:?}"),
     }
     match search_counterexample(&oracle, &[v], &q0, 3) {
-        Some(d) => {
+        Some((d, _)) => {
             println!(
                 "   finite counter-example found ({} atoms over Σ̄):",
                 d.atom_count()

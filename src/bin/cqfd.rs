@@ -358,7 +358,7 @@ fn determine(args: &[String], rewriting_mode: bool) -> Result<(), String> {
         Verdict::NotDeterminedUnrestricted { stages } => {
             println!("NOT determined (unrestricted) — chase fixpoint after {stages} stages");
             match search_counterexample(&oracle, &views, &q0, search_nodes) {
-                Some(d) => {
+                Some((d, _)) => {
                     println!("finite counter-example ({} atoms over Σ̄):", d.atom_count());
                     print!("{d}");
                 }

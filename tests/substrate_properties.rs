@@ -23,7 +23,7 @@ fn build(sig: &Arc<Signature>, n: u32, edges: &[(bool, u32, u32)]) -> Structure 
         d.fresh_node();
     }
     for &(is_r, x, y) in edges {
-        d.add(if is_r { r } else { s }, vec![Node(x % n), Node(y % n)]);
+        d.add(if is_r { r } else { s }, &[Node(x % n), Node(y % n)]);
     }
     d
 }
@@ -43,7 +43,7 @@ proptest! {
         let mut d2 = d1.clone();
         for &(is_r, x, y) in &more {
             let p = if is_r { sig.predicate("R").unwrap() } else { sig.predicate("S").unwrap() };
-            d2.add(p, vec![Node(x % 4), Node(y % 4)]);
+            d2.add(p, &[Node(x % 4), Node(y % 4)]);
         }
         // d1 ⊆ d2, so the identity embeds d1 into d2.
         let h = structure_homomorphism(&d1, &d2);
@@ -53,7 +53,7 @@ proptest! {
         let mut point = Structure::new(Arc::clone(&sig));
         let p0 = point.fresh_node();
         for pred in sig.predicates() {
-            point.add(pred, vec![p0, p0]);
+            point.add(pred, &[p0, p0]);
         }
         let g = structure_homomorphism(&d2, &point);
         prop_assert!(g.is_some());
@@ -79,7 +79,7 @@ proptest! {
             let mut point = Structure::new(Arc::clone(gr.colored()));
             let p0 = point.fresh_node();
             for pred in gr.colored().predicates() {
-                point.add(pred, vec![p0, p0]);
+                point.add(pred, &[p0, p0]);
             }
             prop_assert!(engine.is_model(&point));
             prop_assert!(structure_homomorphism(&run.structure, &point).is_some());
