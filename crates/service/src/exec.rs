@@ -5,7 +5,7 @@ use crate::dispatch::{Dispatch, Route};
 use crate::job::{Job, JobBudget};
 use crate::outcome::{parse_result_line, JobMetrics, JobOutcome, JobResult};
 use cqfd_analysis::{Classification, Fragment};
-use cqfd_cert::{convert, Certificate};
+use cqfd_cert::{convert, Certificate, CheckReport};
 use cqfd_chase::{ChaseBudget, ChaseHooks, ChaseOutcome, ChaseRun};
 use cqfd_core::{
     find_homomorphism, hom_nodes_explored, publish_hom_metrics, reset_hom_nodes_explored,
@@ -62,9 +62,10 @@ struct StoreCtx<'a> {
 /// `use_cache` flag): a stored entry is served only after the trusted
 /// checker re-validates its certificate **and** the recorded outcome is
 /// consistent with the certificate kind — anything less falls through to
-/// a fresh run. Pool workers pass `lookup = false` because the pool
-/// already probed at submission; the store is still used for write-back
-/// and (under `resume=1`) the write-ahead stage log.
+/// a fresh run. A job cancelled before it starts is never served from
+/// the cache: it answers `budget-exceeded` like any other cancelled job.
+/// The store is also used for write-back and (under `resume=1`) the
+/// write-ahead stage log.
 pub fn execute_stored(
     id: u64,
     job: &Job,
@@ -75,14 +76,18 @@ pub fn execute_stored(
 ) -> JobResult {
     let ctx = store.and_then(|s| {
         let budget = job.budget()?;
+        let key = {
+            let _span = span!("store.job_key", kind = job.kind());
+            job_key(job)?
+        };
         Some(StoreCtx {
             store: s,
-            key: job_key(job)?,
+            key,
             cache: budget.use_cache,
             resume: budget.resume,
         })
     });
-    if lookup {
+    if lookup && !cancel.is_cancelled() {
         if let Some(ctx) = ctx.as_ref().filter(|c| c.cache) {
             if let Some(hit) = serve_cached(id, job, ctx) {
                 return hit;
@@ -90,21 +95,6 @@ pub fn execute_stored(
         }
     }
     execute_inner(id, job, cancel, thread_cap, ctx.as_ref())
-}
-
-/// The pool's pre-dispatch probe: a checker-validated, gate-consistent
-/// cache hit as a finished [`JobResult`], or `None` (run the job).
-pub(crate) fn cached_result(id: u64, job: &Job, store: &Store) -> Option<JobResult> {
-    if !job.budget().is_some_and(|b| b.use_cache) {
-        return None;
-    }
-    let ctx = StoreCtx {
-        store,
-        key: job_key(job)?,
-        cache: true,
-        resume: false,
-    };
-    serve_cached(id, job, &ctx)
 }
 
 fn execute_inner(
@@ -302,14 +292,14 @@ fn serve_cached(id: u64, job: &Job, ctx: &StoreCtx) -> Option<JobResult> {
         Lookup::Hit(entry) => entry,
         Lookup::Miss | Lookup::Reject(_) => return None,
     };
-    match gate_entry(job, &entry) {
+    match gate_entry(job, &entry.result_line, &entry.cert, &entry.report) {
         Ok((outcome, mut metrics)) => {
             ctx.store.note_hit();
             metrics.cached = true;
             let budget = job.budget();
             let certificate = budget
                 .is_some_and(|b| b.emit_certificate)
-                .then(|| entry.cert_text.clone());
+                .then_some(entry.cert_text);
             // Lint reports are deterministic in the job alone — cheap to
             // recompute, so they are not stored.
             let lint = budget
@@ -338,14 +328,19 @@ fn serve_cached(id: u64, job: &Job, ctx: &StoreCtx) -> Option<JobResult> {
 /// only when its recorded verdict is the kind of claim its certificate
 /// actually proves. A tampered entry that swaps in a *valid but
 /// unrelated* certificate fails here even though the checker passed it.
-fn gate_entry(job: &Job, entry: &cqfd_store::Entry) -> Result<(JobOutcome, JobMetrics), String> {
-    let (_, kind, outcome, metrics) = parse_result_line(&entry.result_line)?;
+/// `cert` and `report` are the parse and check [`Store::lookup`] already
+/// ran; the gate never sees the certificate text.
+fn gate_entry(
+    job: &Job,
+    result_line: &str,
+    cert: &Certificate,
+    report: &CheckReport,
+) -> Result<(JobOutcome, JobMetrics), String> {
+    let (_, kind, outcome, metrics) = parse_result_line(result_line)?;
     if kind != job.kind() {
         return Err(format!("entry kind `{kind}` != job kind `{}`", job.kind()));
     }
-    let cert = cqfd_cert::parse(&entry.cert_text).map_err(|e| format!("cert parse: {e}"))?;
-    let report = cqfd_cert::check(&cert).map_err(|e| format!("checker: {e}"))?;
-    let consistent = match (&outcome, &cert) {
+    let consistent = match (&outcome, cert) {
         (JobOutcome::Determined { .. }, Certificate::ChaseTrace { goal: Some(_), .. }) => true,
         (JobOutcome::NotDetermined { .. }, Certificate::FiniteModel { .. }) => true,
         (JobOutcome::Unknown { .. }, Certificate::NonHomRefutation { .. }) => true,

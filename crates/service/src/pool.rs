@@ -10,7 +10,7 @@
 //! the pool.
 
 use crate::dispatch::{classify_for, Dispatch};
-use crate::exec::{cached_result, check_forced, execute_stored};
+use crate::exec::{check_forced, execute_stored};
 use crate::job::Job;
 use crate::outcome::{JobMetrics, JobOutcome, JobResult};
 use cqfd_core::CancelToken;
@@ -31,10 +31,12 @@ pub struct PoolConfig {
     /// Bounded submission-queue capacity; a full queue makes
     /// [`Pool::submit`] report backpressure.
     pub queue_capacity: usize,
-    /// An opened `cqfd-store`: cache hits are served at submission
-    /// (before a worker is ever occupied), misses dispatch normally and
-    /// write their result back, and `resume=1` jobs checkpoint to the
-    /// store's stage logs. `None` (the default) disables all of it.
+    /// An opened `cqfd-store`: each worker probes it before running a
+    /// job and serves a checker-validated hit without computing, misses
+    /// run normally and write their result back, and `resume=1` jobs
+    /// checkpoint to the store's stage logs. Hits are queued and run on a
+    /// worker like any other job. `None` (the default) disables all of
+    /// it.
     pub store: Option<Arc<Store>>,
     /// Called by a worker after each job's result has been sent into its
     /// [`JobHandle`]. This is how an event-loop front end (the gateway
@@ -184,7 +186,7 @@ pub struct Pool {
     queue_depth: Gauge,
     /// Live worker threads across all pools (`cqfd_pool_workers`).
     worker_gauge: Gauge,
-    /// Shared result store; hits are served on the submitter's thread.
+    /// Shared result store, probed and written by the workers.
     store: Option<Arc<Store>>,
     /// Submission-queue capacity, as configured.
     queue_capacity: usize,
@@ -276,11 +278,6 @@ impl Pool {
         let Some(sub) = self.preroute(sub) else {
             return Ok(handle);
         };
-        // A cache hit never occupies a worker or a queue slot: the result
-        // is pushed straight into the handle's channel.
-        let Some(sub) = self.serve_from_cache(sub) else {
-            return Ok(handle);
-        };
         match self.sender().try_send(sub) {
             Ok(()) => {
                 self.queue_depth.inc();
@@ -306,9 +303,6 @@ impl Pool {
     pub fn submit_blocking(&self, job: Job) -> JobHandle {
         let (sub, handle) = self.package(job);
         let Some(sub) = self.preroute(sub) else {
-            return handle;
-        };
-        let Some(sub) = self.serve_from_cache(sub) else {
             return handle;
         };
         self.sender()
@@ -374,22 +368,6 @@ impl Pool {
             hook();
         }
         None
-    }
-
-    /// The pre-dispatch cache probe: serves a validated hit into the
-    /// submission's reply channel and returns `None`, or hands the
-    /// submission back for normal dispatch.
-    fn serve_from_cache(&self, sub: Submission) -> Option<Submission> {
-        if let Some(store) = &self.store {
-            if let Some(hit) = cached_result(sub.id, &sub.job, store) {
-                let _ = sub.reply.send(hit);
-                if let Some(hook) = &self.on_complete {
-                    hook();
-                }
-                return None;
-            }
-        }
-        Some(sub)
     }
 
     /// Runs a whole batch through the pool with blocking submission and
@@ -461,16 +439,16 @@ fn worker_loop(
         match sub {
             Ok(s) => {
                 queue_depth.dec();
-                // `lookup = false`: the pool already probed the cache at
-                // submission; the worker's store handle is for write-back
-                // and the write-ahead stage log only.
+                // With a store, the worker probes it first (a validated
+                // hit is served without computing), then writes a miss's
+                // result back; without one, `lookup` is a no-op.
                 //
                 // A panicking job dumps the flight ring first — the last
                 // spans before the panic are exactly what a post-mortem
                 // needs — then resumes the unwind, preserving the pool's
                 // existing sibling-poisoning shutdown semantics.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_stored(s.id, &s.job, &s.cancel, thread_cap, store.as_deref(), false)
+                    execute_stored(s.id, &s.job, &s.cancel, thread_cap, store.as_deref(), true)
                 }))
                 .unwrap_or_else(|panic| {
                     cqfd_flight::dump_to_stderr("panic", 256);
@@ -573,6 +551,82 @@ mod tests {
         assert_eq!(r.metrics.fragment, Some("A300"));
         assert_eq!(r.metrics.stages, 0, "rejected before any chase");
         pool.shutdown();
+    }
+
+    /// A fresh, empty store under the system temp dir.
+    fn temp_store(tag: &str) -> (Arc<Store>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("cqfd-pool-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).expect("open temp store");
+        (Arc::new(store), dir)
+    }
+
+    #[test]
+    fn store_hits_are_served_on_a_worker() {
+        let (store, dir) = temp_store("hit-thread");
+        let threads = Arc::new(Mutex::new(Vec::<String>::new()));
+        let in_hook = Arc::clone(&threads);
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(1)
+                .with_store(Arc::clone(&store))
+                .with_completion_hook(Arc::new(move || {
+                    let name = std::thread::current().name().unwrap_or("").to_owned();
+                    in_hook.lock().unwrap().push(name);
+                })),
+        );
+        let cold = pool.submit(creep_job()).unwrap().wait();
+        assert!(!cold.metrics.cached, "first submission computes");
+        let warm = pool.submit(creep_job()).unwrap().wait();
+        assert!(warm.metrics.cached, "second submission is a store hit");
+        assert_eq!(warm.outcome, cold.outcome);
+        // The hook runs after the result send, so it may trail `wait`.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while threads.lock().unwrap().len() < 2 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        pool.shutdown();
+        let threads = threads.lock().unwrap();
+        assert_eq!(threads.len(), 2, "one hook call per job: {threads:?}");
+        assert!(
+            threads.iter().all(|t| t.starts_with("cqfd-worker-")),
+            "hit and miss both ran on a worker: {threads:?}"
+        );
+        assert_eq!(store.counters(), (1, 1, 0, 0), "one hit, one miss");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_job_cancelled_in_the_queue_is_not_served_from_the_store() {
+        let (store, dir) = temp_store("cancel-hit");
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(1)
+                .with_store(Arc::clone(&store)),
+        );
+        assert!(!pool.submit(creep_job()).unwrap().wait().metrics.cached);
+        // Occupy the only worker, so the next submission stays queued.
+        let blocker = pool
+            .submit(Job::Creep {
+                delta: cqfd_rainworm::families::forever_worm(),
+                budget: JobBudget::default().with_steps(usize::MAX),
+            })
+            .unwrap();
+        let queued = pool.submit(creep_job()).unwrap();
+        queued.cancel();
+        blocker.cancel();
+        let r = queued.wait();
+        assert_eq!(
+            r.outcome,
+            JobOutcome::BudgetExceeded {
+                detail: "cancelled".into()
+            }
+        );
+        assert!(!r.metrics.cached);
+        assert_eq!(blocker.wait().outcome.verdict(), "budget-exceeded");
+        pool.shutdown();
+        assert_eq!(store.counters().0, 0, "the stored key was never served");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

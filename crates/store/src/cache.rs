@@ -35,6 +35,7 @@
 
 use crate::canon::JobKey;
 use crate::sha::sha256_hex;
+use cqfd_cert::{Certificate, CheckReport};
 use cqfd_obs::{span, Counter};
 use std::fs;
 use std::io::{self, Write as _};
@@ -42,7 +43,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A validated cache entry, ready for the caller's outcome↔certificate
-/// consistency gate.
+/// consistency gate. It carries what validation computed — the parsed
+/// certificate and the trusted checker's report — so the gate reads
+/// them instead of parsing and checking `cert_text` a second time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// The job kind recorded at insert time (`determine`, `creep`, …).
@@ -51,13 +54,19 @@ pub struct Entry {
     pub result_line: String,
     /// The certificate text, byte-for-byte as a fresh run would emit it.
     pub cert_text: String,
+    /// `cert_text` parsed in the trusted `cqfd-cert` grammar (boxed, so
+    /// a [`Lookup`] stays small).
+    pub cert: Box<Certificate>,
+    /// What [`cqfd_cert::check`] reported when it accepted `cert`.
+    pub report: CheckReport,
 }
 
 /// Outcome of a cache probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lookup {
     /// A checker-validated candidate. The caller must still run its
-    /// outcome↔certificate-kind gate, then call [`Store::note_hit`] or
+    /// outcome↔certificate-kind gate on [`Entry::cert`] and
+    /// [`Entry::report`], then call [`Store::note_hit`] or
     /// [`Store::note_gate_reject`].
     Hit(Entry),
     /// No entry on disk for this key.
@@ -432,7 +441,8 @@ fn entry_sum(result_line: &str, cert_text: &str) -> String {
 
 /// Full untrusted-input validation of one entry file: format, key match,
 /// checksum, certificate parse, and the trusted checker. Returns the
-/// entry only when every gate passes.
+/// entry, with its parsed certificate and check report, only when every
+/// gate passes.
 fn validate_entry(text: &str, expected_key: Option<&str>) -> Result<Entry, String> {
     let mut lines = text.lines();
     if lines.next() != Some("cqfd-store v1") {
@@ -468,11 +478,16 @@ fn validate_entry(text: &str, expected_key: Option<&str>) -> Result<Entry, Strin
         return Err("checksum mismatch".into());
     }
     let cert = cqfd_cert::parse(&cert_text).map_err(|e| format!("cert parse: {e}"))?;
-    cqfd_cert::check(&cert).map_err(|e| format!("checker reject: {e}"))?;
+    let report = {
+        let _span = span!("cert.check", kind = cert.kind());
+        cqfd_cert::check(&cert).map_err(|e| format!("checker reject: {e}"))?
+    };
     Ok(Entry {
         kind,
         result_line,
         cert_text,
+        cert: Box::new(cert),
+        report,
     })
 }
 
@@ -506,4 +521,63 @@ fn walk_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::canon::KeyBuilder;
+    use cqfd_cert::{AtomSpec, HoldsClaim, PatAtom, QuerySpec, SigSpec, StructSpec, TermSpec};
+
+    /// "E(x,y) holds at (0,1) in {E(0,1)}" — a small checkable certificate.
+    fn hom_witness() -> Certificate {
+        Certificate::HomWitness {
+            sig: SigSpec {
+                preds: vec![("E".into(), 2)],
+                consts: vec![],
+            },
+            structure: StructSpec {
+                nodes: 2,
+                pins: vec![],
+                atoms: vec![AtomSpec {
+                    pred: 0,
+                    args: vec![0, 1],
+                }],
+            },
+            claim: HoldsClaim {
+                query: QuerySpec {
+                    name: "Q".into(),
+                    free: vec![0, 1],
+                    body: vec![PatAtom {
+                        pred: 0,
+                        terms: vec![TermSpec::Var(0), TermSpec::Var(1)],
+                    }],
+                },
+                tuple: vec![0, 1],
+                witness: vec![(0, 0), (1, 1)],
+            },
+        }
+    }
+
+    #[test]
+    fn a_hit_carries_the_parse_and_check_of_its_certificate() {
+        let dir = std::env::temp_dir().join(format!("cqfd-store-cache-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let mut k = KeyBuilder::new("determine");
+        k.knob("stages", 1);
+        let key = k.finish();
+        let text = cqfd_cert::encode(&hom_witness());
+        store
+            .insert(&key, "determine", "job=0 kind=determine", &text)
+            .unwrap();
+        let Lookup::Hit(entry) = store.lookup(&key, "determine") else {
+            panic!("a freshly inserted entry is a hit");
+        };
+        let fresh = cqfd_cert::parse(&entry.cert_text).unwrap();
+        assert_eq!(*entry.cert, fresh);
+        assert_eq!(entry.report, cqfd_cert::check(&fresh).unwrap());
+        assert_eq!(*entry.cert, hom_witness());
+        let _ = fs::remove_dir_all(dir);
+    }
 }

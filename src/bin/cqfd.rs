@@ -23,6 +23,7 @@ use cqfd::reduction::reduce;
 use cqfd::service::{execute_stored, parse_jobs, Dispatch, Job, JobBudget, Pool, PoolConfig};
 use cqfd::store::Store;
 use cqfd_obs::Stopwatch;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -587,9 +588,22 @@ fn write_certificate(args: &[String], cert: &cqfd::cert::Certificate) -> Result<
                 text.lines().count()
             );
         }
-        None => print!("{text}"),
+        None => {
+            write_stdout(&mut io::stdout().lock(), &text)?;
+        }
     }
     Ok(())
+}
+
+/// Writes `text` to stdout and flushes it. `Ok(false)` means the reader
+/// has closed the pipe (`cqfd batch jobs.txt | head -2`): it has read all
+/// it wants, so the command stops quietly instead of failing.
+fn write_stdout(out: &mut impl Write, text: &str) -> Result<bool, String> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("stdout: {e}")),
+    }
 }
 
 fn certify_cmd(args: &[String]) -> Result<(), String> {
@@ -671,8 +685,8 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let cert = cqfd::cert::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let report = cqfd::cert::check(&cert).map_err(|e| format!("REJECTED: {e}"))?;
-    println!(
-        "OK: {} certificate{} — {} ({} steps checked)",
+    let line = format!(
+        "OK: {} certificate{} — {} ({} steps checked)\n",
         report.kind,
         if report.attestation {
             " (attestation — records a bounded search, proves no theorem)"
@@ -682,6 +696,7 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
         report.summary,
         report.steps
     );
+    write_stdout(&mut io::stdout().lock(), &line)?;
     Ok(())
 }
 
@@ -769,11 +784,18 @@ fn batch_cmd(args: &[String]) -> Result<(), String> {
     eprintln!("{} jobs on {} workers", jobs.len(), cfg.workers);
     let pool = Pool::new(cfg);
     // Submit everything (blocking on backpressure), then print results in
-    // job order as they complete.
+    // job order as they complete. Once the reader is gone, the jobs still
+    // pending are cancelled so the pool drains fast.
     let handles: Vec<_> = jobs.into_iter().map(|j| pool.submit_blocking(j)).collect();
-    for h in handles {
-        println!("{}", h.wait().render_protocol());
+    let mut out = io::stdout().lock();
+    let mut pending = handles.into_iter();
+    for h in pending.by_ref() {
+        let line = format!("{}\n", h.wait().render_protocol());
+        if !write_stdout(&mut out, &line)? {
+            break;
+        }
     }
+    pending.for_each(|h| h.cancel());
     pool.shutdown();
     Ok(())
 }
@@ -826,7 +848,7 @@ fn remote_framed_word(
     frame: &str,
     timeout_secs: u64,
 ) -> Result<String, String> {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader};
     let stream = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(timeout_secs)))

@@ -224,6 +224,49 @@ fn determine_prints_metrics() {
     assert!(text.contains("elapsed_ms="), "{text}");
 }
 
+/// `cqfd batch jobs.txt | head -1`: once the reader closes the pipe,
+/// batch stops quietly instead of panicking on the next write.
+#[test]
+fn batch_stops_quietly_when_stdout_closes() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // The `separate` result arrives about a second after the first line,
+    // so it is written after the pipe has closed.
+    let path = std::env::temp_dir().join(format!("cqfd_cli_pipe_{}.txt", std::process::id()));
+    std::fs::write(
+        &path,
+        "creep worm=short\nseparate stages=60\ncreep worm=short\n",
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cqfd"))
+        .args(["batch", path.to_str().unwrap(), "--workers", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run cqfd");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(
+        first.starts_with("job=1 kind=creep verdict=halted"),
+        "{first}"
+    );
+    // The reader (and with it the pipe) is dropped here.
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "panic exit status: {stderr}");
+    assert!(status.success(), "{status:?}: {stderr}");
+}
+
 #[test]
 fn batch_runs_a_mixed_jobs_file() {
     let jobs = "\

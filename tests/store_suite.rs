@@ -12,6 +12,7 @@ use cqfd::cert::{firing_line, parse_stage_log, stage_log_prelude_with_meta, stag
 use cqfd::chase::{ChaseBudget, ChaseHooks, ChaseRun};
 use cqfd::core::{CancelToken, Cq, Signature};
 use cqfd::greenred::{instances, DeterminacyOracle};
+use cqfd::rainworm::families::{counter_worm, halting_worm_short};
 use cqfd::service::{execute_stored, job_key, parse_result_line, Job, JobBudget, JobOutcome};
 use cqfd::store::{resume_point, sha256_hex, JobKey, Store};
 use proptest::prelude::*;
@@ -271,6 +272,97 @@ fn tampered_entries_are_rejected_and_rechased() {
     assert_eq!(report.removed_entries, 1);
     assert!(!path.exists());
 
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// Rewrites the entry at `path` to carry `cert_text` under its own result
+/// line, with a matching checksum: only the checker or the outcome gate
+/// can object to it.
+fn swap_certificate(path: &std::path::Path, cert_text: &str) {
+    let text = fs::read_to_string(path).unwrap();
+    let header: Vec<&str> = text.lines().take(5).collect();
+    let result_line = header[4].strip_prefix("result ").expect("result line");
+    let sum = sha256_hex(format!("{result_line}\n{cert_text}").as_bytes());
+    let forged = format!(
+        "{}\n{}\n{}\nsum sha256={sum}\nresult {result_line}\ncert_lines={}\n{cert_text}end\n",
+        header[0],
+        header[1],
+        header[2],
+        cert_text.lines().count()
+    );
+    fs::write(path, forged).unwrap();
+}
+
+/// The certificate text stored in the entry at `path`.
+fn stored_certificate(path: &std::path::Path) -> String {
+    let text = fs::read_to_string(path).unwrap();
+    let mut lines = text.lines().skip(5);
+    let n: usize = lines
+        .next()
+        .and_then(|l| l.strip_prefix("cert_lines="))
+        .and_then(|n| n.parse().ok())
+        .expect("cert_lines header");
+    lines.take(n).map(|l| format!("{l}\n")).collect()
+}
+
+#[test]
+fn a_valid_but_unrelated_certificate_fails_the_outcome_gate() {
+    let (store, dir) = temp_store("gate");
+    let determined = instance_job(
+        instances::composed_path_instance(2, 3),
+        JobBudget::default(),
+    );
+    let refuted = instance_job(instances::projection_instance(), JobBudget::default());
+    let cold = run(&determined, Some(&store), true);
+    assert_eq!(cold.outcome.verdict(), "determined");
+    assert_eq!(
+        run(&refuted, Some(&store), true).outcome.verdict(),
+        "not-determined"
+    );
+
+    // The `determined` entry now carries the counter-model of the other
+    // job: the checker accepts that finite-model certificate, but a
+    // `determined` verdict needs a chase trace, so the gate refuses it.
+    let path = store.entry_path(&job_key(&determined).unwrap().hash);
+    let other = stored_certificate(&store.entry_path(&job_key(&refuted).unwrap().hash));
+    swap_certificate(&path, &other);
+    assert!(store.verify().unwrap().is_empty(), "the checker passes it");
+    let served = run(&determined, Some(&store), true);
+    assert!(
+        !served.metrics.cached,
+        "an unrelated certificate must not serve"
+    );
+    assert_eq!(served.outcome, cold.outcome, "fresh chase, same answer");
+    let (hits, _, rejects, _) = store.counters();
+    assert_eq!((hits, rejects), (0, 1), "counted as a gate reject");
+    assert!(
+        run(&determined, Some(&store), true).metrics.cached,
+        "re-chase repaired it"
+    );
+
+    // A creep trace of another halting worm is a valid certificate of the
+    // right kind, but the checker replays a different number of steps
+    // than the stored verdict claims.
+    let creep = |delta| Job::Creep {
+        delta,
+        budget: JobBudget::default(),
+    };
+    let short = creep(halting_worm_short());
+    let counter = creep(counter_worm(2));
+    let short_cold = run(&short, Some(&store), true);
+    run(&counter, Some(&store), true);
+    let path = store.entry_path(&job_key(&short).unwrap().hash);
+    swap_certificate(
+        &path,
+        &stored_certificate(&store.entry_path(&job_key(&counter).unwrap().hash)),
+    );
+    let served = run(&short, Some(&store), true);
+    assert!(
+        !served.metrics.cached,
+        "a step-count mismatch must not serve"
+    );
+    assert_eq!(served.outcome, short_cold.outcome);
+    assert_eq!(store.counters().2, 2, "second gate reject");
     let _ = fs::remove_dir_all(dir);
 }
 
