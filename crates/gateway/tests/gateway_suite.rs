@@ -752,6 +752,39 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
+fn requests_that_once_crashed_the_server_get_error_replies() {
+    let gw = Gateway::bind(Some("127.0.0.1:0"), Some("127.0.0.1:0"), one_worker())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let requests = [
+        r#""""#,
+        "creep worm=counter:0",
+        "reduce worm=tm-zigzag:0",
+        "reduce worm=tm-zigzag:1",
+        r#"rewrite sig=R/2 view="V(x,y) :- R(x,z), R(z,y)" view="V(x) :- R(x,x)" query="Q0(x,y) :- R(x,y)""#,
+    ];
+    let (mut rd, mut wr) = line_client(gw.line_addr().unwrap());
+    let mut http = HttpClient::connect(gw.http_addr().unwrap());
+    for request in requests {
+        writeln!(wr, "{request}").unwrap();
+        let reply = read_reply(&mut rd);
+        assert!(reply.starts_with("error: "), "{request}: {reply}");
+        let body = format!("{{\"job\":\"{}\"}}", json::escape(request));
+        let resp = http.request(&post_jobs(&body, &[]));
+        assert_eq!(resp.status, 400, "{request}");
+        let pairs = json::parse_object(&resp.body).expect("error body is JSON");
+        assert!(json::get(&pairs, "error").is_some(), "{request}");
+    }
+    // The same server, on the same connections, still answers.
+    writeln!(wr, "creep worm=short").unwrap();
+    assert!(read_reply(&mut rd).contains("verdict=halted"));
+    let resp = http.request(&post_jobs("{\"job\":\"creep worm=short\"}", &[]));
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    gw.shutdown();
+}
+
+#[test]
 fn shutdown_word_stops_the_gateway() {
     let gw = Gateway::bind(Some("127.0.0.1:0"), None, one_worker())
         .expect("bind")

@@ -3,7 +3,7 @@
 
 use crate::dispatch::{Dispatch, Route};
 use crate::job::{Job, JobBudget};
-use crate::outcome::{parse_result_line, JobMetrics, JobOutcome, JobResult};
+use crate::outcome::{parse_result_line, JobMetrics, JobOutcome, JobResult, ResultLine};
 use cqfd_analysis::{Classification, Fragment};
 use cqfd_cert::{convert, Certificate, CheckReport};
 use cqfd_chase::{ChaseBudget, ChaseHooks, ChaseOutcome, ChaseRun};
@@ -65,7 +65,7 @@ struct StoreCtx<'a> {
 /// a fresh run. A job cancelled before it starts is never served from
 /// the cache: it answers `budget-exceeded` like any other cancelled job.
 /// The store is also used for write-back and (under `resume=1`) the
-/// write-ahead stage log.
+/// write-ahead stage log. The entry is on disk when this returns.
 pub fn execute_stored(
     id: u64,
     job: &Job,
@@ -74,6 +74,28 @@ pub fn execute_stored(
     store: Option<&Store>,
     lookup: bool,
 ) -> JobResult {
+    let mut answer = None;
+    execute_then_store(id, job, cancel, thread_cap, store, lookup, |r| {
+        answer = Some(r);
+    });
+    answer.expect("execute_then_store delivers exactly once")
+}
+
+/// [`execute_stored`], answer first: the result goes to `deliver` before
+/// a miss's entry is written, so the reply does not wait for the file
+/// create and `fsync`. The key stays marked in the store from before
+/// `deliver` until the write ends (see [`Store::begin_insert`]), so an
+/// identical job that looks it up meanwhile waits and is still a hit.
+/// `deliver` is called exactly once; the write is done when this returns.
+pub(crate) fn execute_then_store(
+    id: u64,
+    job: &Job,
+    cancel: &CancelToken,
+    thread_cap: usize,
+    store: Option<&Store>,
+    lookup: bool,
+    deliver: impl FnOnce(JobResult),
+) {
     let ctx = store.and_then(|s| {
         let budget = job.budget()?;
         let key = {
@@ -90,11 +112,21 @@ pub fn execute_stored(
     if lookup && !cancel.is_cancelled() {
         if let Some(ctx) = ctx.as_ref().filter(|c| c.cache) {
             if let Some(hit) = serve_cached(id, job, ctx) {
-                return hit;
+                return deliver(hit);
             }
         }
     }
-    execute_inner(id, job, cancel, thread_cap, ctx.as_ref())
+    let mut result = execute_inner(id, job, cancel, thread_cap, ctx.as_ref());
+    let Some(ctx) = ctx.as_ref().filter(|c| c.cache) else {
+        return deliver(result);
+    };
+    let Some((line, cert)) = stored_entry(job, &mut result) else {
+        return deliver(result);
+    };
+    let kind = result.kind;
+    let _writing = ctx.store.begin_insert(&ctx.key);
+    deliver(result);
+    write_back(ctx, kind, &line, &cert);
 }
 
 fn execute_inner(
@@ -150,7 +182,7 @@ fn execute_inner(
     } else {
         None
     };
-    let mut result = JobResult {
+    JobResult {
         id,
         kind: job.kind(),
         outcome,
@@ -158,16 +190,7 @@ fn execute_inner(
         certificate,
         trace,
         lint,
-    };
-    if let Some(ctx) = ctx.filter(|c| c.cache) {
-        write_back(ctx, &result);
-        // The certificate was force-computed for the cache entry; drop it
-        // from the reply unless the submitter asked for one.
-        if !job.budget().is_some_and(|b| b.emit_certificate) {
-            result.certificate = None;
-        }
     }
-    result
 }
 
 /// The canonical cache key of a job, or `None` for kinds the store does
@@ -251,31 +274,44 @@ fn cacheable(result: &JobResult) -> bool {
 /// off. Everything else — verdict detail, stage/trigger/hom counts, the
 /// termination note — is deterministic and stored verbatim.
 fn normalized_line(result: &JobResult) -> String {
-    let mut stored = result.clone();
-    stored.id = 0;
-    stored.metrics.elapsed = std::time::Duration::ZERO;
-    stored.metrics.cached = false;
-    stored.trace = None;
-    stored.lint = None;
-    stored.certificate = None;
-    stored.to_string()
+    let metrics = JobMetrics {
+        elapsed: std::time::Duration::ZERO,
+        cached: false,
+        ..result.metrics.clone()
+    };
+    ResultLine {
+        id: 0,
+        kind: result.kind,
+        outcome: &result.outcome,
+        metrics: &metrics,
+    }
+    .to_string()
+}
+
+/// The entry a fresh result is stored as — its normalized line and its
+/// certificate — or `None` when the result is not cacheable or has no
+/// certificate. The certificate was force-computed for the entry, so it
+/// is moved out of the reply unless the submitter asked for one.
+fn stored_entry(job: &Job, result: &mut JobResult) -> Option<(String, String)> {
+    let asked = job.budget().is_some_and(|b| b.emit_certificate);
+    let cert = if asked {
+        None
+    } else {
+        result.certificate.take()
+    };
+    if !cacheable(result) {
+        return None;
+    }
+    let cert = cert.or_else(|| result.certificate.clone())?;
+    Some((normalized_line(result), cert))
 }
 
 /// Writes a conclusive, certificate-carrying result into the store.
-fn write_back(ctx: &StoreCtx, result: &JobResult) {
-    if !cacheable(result) {
-        return;
-    }
-    let Some(cert) = result.certificate.as_deref() else {
-        return;
-    };
-    let _span = span!("store.insert", kind = result.kind);
-    if let Err(e) = ctx
-        .store
-        .insert(&ctx.key, result.kind, &normalized_line(result), cert)
-    {
+fn write_back(ctx: &StoreCtx, kind: &'static str, line: &str, cert: &str) {
+    let _span = span!("store.insert", kind = kind);
+    if let Err(e) = ctx.store.insert(&ctx.key, kind, line, cert) {
         // A full disk or permission problem must not fail the job; the
-        // result is simply not cached.
+        // result is simply not cached (and counted by the store).
         let error = e.to_string();
         cqfd_obs::event!("store.insert_failed", error = &error);
     }

@@ -218,6 +218,28 @@ impl fmt::Display for JobResult {
     /// protocol: `job=<id> kind=<kind> verdict=<tag> [detail...] stages=…
     /// triggers=… homs=… peak_atoms=… peak_nodes=… elapsed_ms=…`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        ResultLine {
+            id: self.id,
+            kind: self.kind,
+            outcome: &self.outcome,
+            metrics: &self.metrics,
+        }
+        .fmt(f)
+    }
+}
+
+/// The one-line rendering of a [`JobResult`] from borrowed parts, so a
+/// line can be rendered with other metrics without cloning the result's
+/// payloads.
+pub(crate) struct ResultLine<'a> {
+    pub id: u64,
+    pub kind: &'static str,
+    pub outcome: &'a JobOutcome,
+    pub metrics: &'a JobMetrics,
+}
+
+impl fmt::Display for ResultLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "job={} kind={} verdict={}",
@@ -225,7 +247,7 @@ impl fmt::Display for JobResult {
             self.kind,
             self.outcome.verdict()
         )?;
-        match &self.outcome {
+        match self.outcome {
             JobOutcome::Determined { stage } => write!(f, " stage={stage}")?,
             JobOutcome::NotDetermined { stages } | JobOutcome::Unknown { stages } => {
                 write!(f, " chase_stages={stages}")?

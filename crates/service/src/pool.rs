@@ -7,10 +7,10 @@
 //! backpressure ([`SubmitError::QueueFull`]) and `send` blocks. Dropping
 //! the sender is the shutdown signal: workers drain the queue and exit,
 //! and [`Pool::drop`] joins every handle, so no detached threads survive
-//! the pool.
+//! the pool and every store entry a worker owed is on disk.
 
 use crate::dispatch::{classify_for, Dispatch};
-use crate::exec::{check_forced, execute_stored};
+use crate::exec::{check_forced, execute_then_store};
 use crate::job::Job;
 use crate::outcome::{JobMetrics, JobOutcome, JobResult};
 use cqfd_core::CancelToken;
@@ -33,10 +33,10 @@ pub struct PoolConfig {
     pub queue_capacity: usize,
     /// An opened `cqfd-store`: each worker probes it before running a
     /// job and serves a checker-validated hit without computing, misses
-    /// run normally and write their result back, and `resume=1` jobs
-    /// checkpoint to the store's stage logs. Hits are queued and run on a
-    /// worker like any other job. `None` (the default) disables all of
-    /// it.
+    /// run normally, answer, and then write their result back before the
+    /// worker takes its next job, and `resume=1` jobs checkpoint to the
+    /// store's stage logs. Hits are queued and run on a worker like any
+    /// other job. `None` (the default) disables all of it.
     pub store: Option<Arc<Store>>,
     /// Called by a worker after each job's result has been sent into its
     /// [`JobHandle`]. This is how an event-loop front end (the gateway
@@ -440,25 +440,36 @@ fn worker_loop(
             Ok(s) => {
                 queue_depth.dec();
                 // With a store, the worker probes it first (a validated
-                // hit is served without computing), then writes a miss's
-                // result back; without one, `lookup` is a no-op.
+                // hit is served without computing); a miss is answered
+                // first and its entry written after, before the next
+                // dequeue. Without one, `lookup` is a no-op.
                 //
                 // A panicking job dumps the flight ring first — the last
                 // spans before the panic are exactly what a post-mortem
                 // needs — then resumes the unwind, preserving the pool's
                 // existing sibling-poisoning shutdown semantics.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_stored(s.id, &s.job, &s.cancel, thread_cap, store.as_deref(), true)
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let deliver = |result| {
+                        // The submitter may have dropped its handle; that's fine.
+                        let _ = s.reply.send(result);
+                        if let Some(hook) = &on_complete {
+                            hook();
+                        }
+                    };
+                    execute_then_store(
+                        s.id,
+                        &s.job,
+                        &s.cancel,
+                        thread_cap,
+                        store.as_deref(),
+                        true,
+                        deliver,
+                    )
                 }))
                 .unwrap_or_else(|panic| {
                     cqfd_flight::dump_to_stderr("panic", 256);
                     std::panic::resume_unwind(panic)
                 });
-                // The submitter may have dropped its handle; that's fine.
-                let _ = s.reply.send(result);
-                if let Some(hook) = &on_complete {
-                    hook();
-                }
             }
             Err(_) => return, // disconnected: shutdown
         }
@@ -626,6 +637,168 @@ mod tests {
         assert_eq!(blocker.wait().outcome.verdict(), "budget-exceeded");
         pool.shutdown();
         assert_eq!(store.counters().0, 0, "the stored key was never served");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The short halting worm under a step budget of `steps` (≥ 20 halts):
+    /// one distinct store key per budget.
+    fn creep_steps(steps: usize) -> Job {
+        Job::Creep {
+            delta: halting_worm_short(),
+            budget: JobBudget::default().with_steps(steps),
+        }
+    }
+
+    /// `handle.wait()`, failing the test instead of hanging past 60 s.
+    fn wait_bounded(handle: JobHandle) -> JobResult {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            if let Some(r) = handle.try_wait() {
+                return r;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {} hung",
+                handle.id
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_miss_is_answered_before_its_entry_is_written() {
+        let (store, dir) = temp_store("answer-first");
+        let path = store.entry_path(&crate::exec::job_key(&creep_job()).unwrap().hash);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let in_hook = Arc::clone(&seen);
+        let hook_path = path.clone();
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(1)
+                .with_store(Arc::clone(&store))
+                .with_completion_hook(Arc::new(move || {
+                    in_hook.lock().unwrap().push(hook_path.exists());
+                })),
+        );
+        assert!(!pool.submit(creep_job()).unwrap().wait().metrics.cached);
+        assert!(pool.submit(creep_job()).unwrap().wait().metrics.cached);
+        pool.shutdown();
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [false, true],
+            "the miss's hook fires before the insert; the hit's after it"
+        );
+        assert!(path.exists());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn an_answered_miss_is_a_hit_for_the_next_identical_job() {
+        let (store, dir) = temp_store("read-your-writes");
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(2)
+                .with_store(Arc::clone(&store)),
+        );
+        // With two workers the resubmission usually lands on the idle
+        // one while the other is still writing the entry.
+        for steps in 100..300 {
+            let cold = wait_bounded(pool.submit(creep_steps(steps)).unwrap());
+            assert!(!cold.metrics.cached, "steps={steps}: first run computes");
+            let warm = wait_bounded(pool.submit(creep_steps(steps)).unwrap());
+            assert!(warm.metrics.cached, "steps={steps}: resubmission is a hit");
+            assert_eq!(warm.outcome, cold.outcome);
+        }
+        pool.shutdown();
+        assert_eq!(store.counters(), (200, 200, 0, 0));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn every_answered_miss_is_on_disk_once_the_pool_drops() {
+        let (store, dir) = temp_store("drain-on-drop");
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(2)
+                .with_store(Arc::clone(&store)),
+        );
+        let results = pool.run_batch((100..124).map(creep_steps).collect());
+        drop(pool);
+        assert!(results.iter().all(|r| !r.metrics.cached));
+        let misses = store.counters().1;
+        assert_eq!(misses, 24);
+        assert_eq!(store.stat().unwrap().entries as u64, misses);
+        assert!(store.verify().unwrap().is_empty());
+        assert_eq!(store.insert_failures(), 0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Makes the shard directory of `job`'s entry a regular file, so the
+    /// entry write fails at `create_dir_all`; returns the shard path.
+    fn block_shard(store: &Store, job: &Job) -> std::path::PathBuf {
+        let key = crate::exec::job_key(job).unwrap();
+        let shard = store.entry_path(&key.hash).parent().unwrap().to_path_buf();
+        std::fs::write(&shard, b"not a directory").unwrap();
+        shard
+    }
+
+    #[test]
+    fn a_failed_entry_write_is_counted_and_the_job_still_answered() {
+        let (store, dir) = temp_store("blocked-shard");
+        block_shard(&store, &creep_job());
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(2)
+                .with_store(Arc::clone(&store)),
+        );
+        let first = wait_bounded(pool.submit(creep_job()).unwrap());
+        assert_eq!(first.outcome.verdict(), "halted");
+        assert!(!first.metrics.cached);
+        pool.shutdown();
+        assert_eq!(store.insert_failures(), 1);
+        assert_eq!(store.stat().unwrap().entries, 0);
+        // The failed write released its mark: an identical job looks the
+        // key up without waiting, and recomputes.
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(2)
+                .with_store(Arc::clone(&store)),
+        );
+        let again = wait_bounded(pool.submit(creep_job()).unwrap());
+        assert_eq!(again.outcome, first.outcome);
+        assert!(!again.metrics.cached);
+        pool.shutdown();
+        assert_eq!(store.insert_failures(), 2);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_write_lost_after_its_reply_is_recomputed_and_stored() {
+        let (store, dir) = temp_store("lost-write");
+        let shard = block_shard(&store, &creep_job());
+        let pool = Pool::new(
+            PoolConfig::default()
+                .with_workers(2)
+                .with_store(Arc::clone(&store)),
+        );
+        let first = wait_bounded(pool.submit(creep_job()).unwrap());
+        assert!(!first.metrics.cached);
+        // Wait for the worker to give up on the write, then unblock.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while store.insert_failures() == 0 {
+            assert!(std::time::Instant::now() < deadline, "write never failed");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::fs::remove_file(&shard).unwrap();
+        let second = wait_bounded(pool.submit(creep_job()).unwrap());
+        assert!(!second.metrics.cached, "the lost entry is recomputed");
+        assert_eq!(second.outcome, first.outcome);
+        let third = wait_bounded(pool.submit(creep_job()).unwrap());
+        assert!(third.metrics.cached, "…and stored this time");
+        pool.shutdown();
+        assert_eq!(store.insert_failures(), 1);
+        assert_eq!(store.stat().unwrap().entries, 1);
+        assert!(store.verify().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -228,22 +228,23 @@ impl Fields {
 /// `tm-zigzag:K`.
 pub fn parse_worm(spec: &str) -> Result<Delta, String> {
     if let Some(m) = spec.strip_prefix("counter:") {
-        let m: u16 = m
-            .parse()
-            .map_err(|_| format!("bad counter parameter `{m}` (want a u16)"))?;
-        return Ok(counter_worm(m));
+        return match m.parse::<u16>() {
+            Ok(m) if m >= 1 => Ok(counter_worm(m)),
+            _ => Err(format!("bad counter parameter `{m}` (want 1..=65535)")),
+        };
     }
     if let Some(k) = spec.strip_prefix("tm-walker:") {
-        let k: u16 = k
-            .parse()
-            .map_err(|_| format!("bad walker parameter `{k}` (want a u16)"))?;
-        return Ok(tm_to_rainworm(&TuringMachine::right_walker(k)));
+        // `k + 1` states must fit the machine's u16 state ids.
+        return match k.parse::<u16>() {
+            Ok(k) if k < u16::MAX => Ok(tm_to_rainworm(&TuringMachine::right_walker(k))),
+            _ => Err(format!("bad walker parameter `{k}` (want 0..=65534)")),
+        };
     }
     if let Some(k) = spec.strip_prefix("tm-zigzag:") {
-        let k: u16 = k
-            .parse()
-            .map_err(|_| format!("bad zigzag parameter `{k}` (want a u16)"))?;
-        return Ok(tm_to_rainworm(&TuringMachine::zigzag(k)));
+        return match k.parse::<u16>() {
+            Ok(k) if (2..u16::MAX).contains(&k) => Ok(tm_to_rainworm(&TuringMachine::zigzag(k))),
+            _ => Err(format!("bad zigzag parameter `{k}` (want 2..=65534)")),
+        };
     }
     match spec {
         "forever" => Ok(forever_worm()),
@@ -322,6 +323,20 @@ fn parse_cq_inputs(f: &Fields) -> Result<(Signature, Vec<Cq>, Cq), String> {
         .collect::<Result<_, _>>()?;
     if views.is_empty() {
         return Err("at least one view= required".into());
+    }
+    // Each view name is a predicate of the view signature, so one name
+    // cannot take two arities.
+    for (i, v) in views.iter().enumerate() {
+        if let Some(w) = views[..i].iter().find(|w| w.name == v.name) {
+            if w.arity() != v.arity() {
+                return Err(format!(
+                    "view `{}` declared with arity {} and again with {}",
+                    v.name,
+                    w.arity(),
+                    v.arity()
+                ));
+            }
+        }
     }
     let q_spec = f.require("query")?;
     let q0 = Cq::parse(&sig, q_spec).map_err(|e| format!("bad query=`{q_spec}`: {e}"))?;
@@ -462,7 +477,10 @@ pub fn parse_job(line: &str) -> Result<Option<Job>, String> {
 }
 
 fn parse_job_tokens(tokens: Vec<String>) -> Result<Option<Job>, String> {
-    let (kind, rest) = tokens.split_first().expect("non-empty line has tokens");
+    // A line of only quotes (`""`) is non-blank yet has no tokens.
+    let Some((kind, rest)) = tokens.split_first() else {
+        return Err("empty job line (no kind tag)".into());
+    };
     let f = Fields::parse(rest)?;
     let job = match kind.as_str() {
         "determine" => {
@@ -889,6 +907,32 @@ mod tests {
         assert!(err.contains("stream=`maybe`"), "{err}");
         // Job files stay strict: metadata keys are unknown keys there.
         assert!(parse_job("creep worm=short tenant=acme").is_err());
+    }
+
+    #[test]
+    fn requests_that_once_panicked_are_errors() {
+        for (line, want) in [
+            (r#""""#, "empty job line"),
+            ("creep worm=counter:0", "bad worm=`counter:0`"),
+            ("reduce worm=tm-zigzag:0", "bad worm=`tm-zigzag:0`"),
+            ("reduce worm=tm-zigzag:1", "bad worm=`tm-zigzag:1`"),
+            ("reduce worm=tm-walker:65535", "bad worm=`tm-walker:65535`"),
+            (
+                r#"rewrite sig=R/2 view="V(x,y) :- R(x,z), R(z,y)" view="V(x) :- R(x,x)" query="Q0(x,y) :- R(x,y)""#,
+                "view `V` declared with arity 2 and again with 1",
+            ),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+            assert!(parse_job(line).is_err(), "{line}");
+        }
+        assert!(parse_job("creep worm=counter:1").unwrap().is_some());
+        assert!(parse_job("reduce worm=tm-zigzag:2").unwrap().is_some());
+        assert!(parse_job(
+            r#"determine sig=R/2 view="V(x,y) :- R(x,y)" view="V(x,y) :- R(y,x)" query="Q0(x,y) :- R(x,y)""#
+        )
+        .unwrap()
+        .is_some());
     }
 
     #[test]

@@ -31,7 +31,15 @@
 //!
 //! Writes go through a `.tmp` sibling plus `rename`, so a crash mid-write
 //! leaves either the old entry or a `.tmp` orphan (collected by
-//! [`Store::gc`]), never a torn entry served as truth.
+//! [`Store::gc`]), never a torn entry served as truth. A failed write is
+//! counted (`cqfd_store_insert_failures_total`) and costs one recompute.
+//!
+//! **Answer first, then write.** A pool worker answers a miss before it
+//! writes the entry (see `cqfd_service::exec`). So that an answered job
+//! stays a hit for any later identical job, the worker marks the key with
+//! [`Store::begin_insert`] before it answers; a [`Store::lookup`] of a
+//! marked key waits until that write has ended (succeeded, failed or
+//! panicked), then reads the file as usual.
 
 use crate::canon::JobKey;
 use crate::sha::sha256_hex;
@@ -41,6 +49,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A validated cache entry, ready for the caller's outcome↔certificate
 /// consistency gate. It carries what validation computed — the parsed
@@ -147,6 +156,33 @@ pub struct Store {
     misses: Tally,
     rejects: Tally,
     resumes: Tally,
+    insert_failures: Tally,
+    /// Hashes of the entries whose write is handed off but not finished,
+    /// one element per [`InsertGuard`] (a multiset: two racing misses of
+    /// one key each hold a mark).
+    writing: Mutex<Vec<String>>,
+    /// Signalled whenever an [`InsertGuard`] drops its mark.
+    written: Condvar,
+}
+
+/// The in-flight mark of one entry write, from [`Store::begin_insert`].
+/// Dropping it — after the write succeeded, failed or panicked — releases
+/// every [`Store::lookup`] waiting on the key.
+#[must_use = "the mark is released when the guard drops"]
+pub struct InsertGuard<'a> {
+    store: &'a Store,
+    hash: &'a str,
+}
+
+impl Drop for InsertGuard<'_> {
+    fn drop(&mut self) {
+        let mut writing = self.store.writing();
+        if let Some(i) = writing.iter().position(|h| *h == self.hash) {
+            writing.swap_remove(i);
+        }
+        drop(writing);
+        self.store.written.notify_all();
+    }
 }
 
 impl std::fmt::Debug for Store {
@@ -185,7 +221,20 @@ impl Store {
                 "Chase runs resumed from a write-ahead stage log",
                 &[],
             )),
+            insert_failures: Tally::new(reg.counter(
+                "cqfd_store_insert_failures_total",
+                "Entry writes that failed; the answer was served uncached",
+                &[],
+            )),
+            writing: Mutex::new(Vec::new()),
+            written: Condvar::new(),
         })
+    }
+
+    /// The in-flight set. No code panics while holding it, but a
+    /// poisoned lock still guards a consistent `Vec`.
+    fn writing(&self) -> MutexGuard<'_, Vec<String>> {
+        self.writing.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The store root directory.
@@ -210,8 +259,21 @@ impl Store {
     /// Probes the cache for `key`. See [`Lookup`] for the counter
     /// discipline: `Miss` and `Reject` are counted here; a `Hit` is
     /// counted only when the caller confirms it with [`Store::note_hit`].
+    ///
+    /// A key marked by [`Store::begin_insert`] is read only once that
+    /// write has ended, so a job answered before its entry was written is
+    /// still a hit for the next identical job.
     pub fn lookup(&self, key: &JobKey, kind: &str) -> Lookup {
         let _span = span!("store.lookup", kind = kind);
+        {
+            let mut writing = self.writing();
+            while writing.contains(&key.hash) {
+                writing = self
+                    .written
+                    .wait(writing)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
         let path = self.entry_path(&key.hash);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -246,8 +308,34 @@ impl Store {
         }
     }
 
-    /// Writes (or overwrites) the entry for `key` atomically.
+    /// Marks `key` as being written until the returned guard drops:
+    /// [`Store::lookup`] of the key waits for the mark to go. Take it
+    /// before the answer leaves, and hold it across [`Store::insert`].
+    pub fn begin_insert<'a>(&'a self, key: &'a JobKey) -> InsertGuard<'a> {
+        self.writing().push(key.hash.clone());
+        InsertGuard {
+            store: self,
+            hash: &key.hash,
+        }
+    }
+
+    /// Writes (or overwrites) the entry for `key` atomically. A failure
+    /// is counted in `cqfd_store_insert_failures_total`.
     pub fn insert(
+        &self,
+        key: &JobKey,
+        kind: &str,
+        result_line: &str,
+        cert_text: &str,
+    ) -> io::Result<()> {
+        let written = self.write_entry(key, kind, result_line, cert_text);
+        if written.is_err() {
+            self.insert_failures.inc();
+        }
+        written
+    }
+
+    fn write_entry(
         &self,
         key: &JobKey,
         kind: &str,
@@ -309,6 +397,11 @@ impl Store {
             self.rejects.get(),
             self.resumes.get(),
         )
+    }
+
+    /// How many [`Store::insert`] calls failed on this store.
+    pub fn insert_failures(&self) -> u64 {
+        self.insert_failures.get()
     }
 
     /// Sizes on disk.

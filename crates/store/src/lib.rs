@@ -31,7 +31,7 @@ pub mod canon;
 pub mod log;
 pub mod sha;
 
-pub use cache::{Entry, EvictReport, GcReport, Lookup, Store, StoreStat};
+pub use cache::{Entry, EvictReport, GcReport, InsertGuard, Lookup, Store, StoreStat};
 pub use canon::{canonical_cq, JobKey, KeyBuilder};
 pub use log::{resume_point, StageLogWriter};
 pub use sha::sha256_hex;

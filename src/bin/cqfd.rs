@@ -14,10 +14,7 @@ use cqfd::chase::ChaseBudget;
 use cqfd::core::CancelToken;
 use cqfd::core::{Cq, HomEngine, Signature};
 use cqfd::greenred::{cq_rewriting, search_counterexample, DeterminacyOracle, Verdict};
-use cqfd::rainworm::encode::tm_to_rainworm;
-use cqfd::rainworm::families::{counter_worm, forever_worm, halting_worm_short};
 use cqfd::rainworm::run::{creep, trace, CreepOutcome};
-use cqfd::rainworm::tm::TuringMachine;
 use cqfd::rainworm::Delta;
 use cqfd::reduction::reduce;
 use cqfd::service::{execute_stored, parse_jobs, Dispatch, Job, JobBudget, Pool, PoolConfig};
@@ -390,23 +387,7 @@ fn parse_worm(spec: &str) -> Result<Delta, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         return cqfd::rainworm::parse::parse_delta(&text);
     }
-    if let Some(m) = spec.strip_prefix("counter:") {
-        let m: u16 = m.parse().map_err(|_| "bad counter parameter")?;
-        return Ok(counter_worm(m));
-    }
-    if let Some(k) = spec.strip_prefix("tm-walker:") {
-        let k: u16 = k.parse().map_err(|_| "bad walker parameter")?;
-        return Ok(tm_to_rainworm(&TuringMachine::right_walker(k)));
-    }
-    if let Some(k) = spec.strip_prefix("tm-zigzag:") {
-        let k: u16 = k.parse().map_err(|_| "bad zigzag parameter")?;
-        return Ok(tm_to_rainworm(&TuringMachine::zigzag(k)));
-    }
-    match spec {
-        "forever" => Ok(forever_worm()),
-        "short" => Ok(halting_worm_short()),
-        other => Err(format!("unknown worm `{other}`")),
-    }
+    cqfd::service::proto::parse_worm(spec)
 }
 
 fn creep_cmd(args: &[String]) -> Result<(), String> {
