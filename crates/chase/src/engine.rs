@@ -3,8 +3,8 @@
 use crate::termination::Termination;
 use crate::tgd::Tgd;
 use cqfd_core::{
-    add_hom_nodes_explored, exists_homomorphism_with, hom_nodes_explored, publish_hom_metrics,
-    AnyPlan, Binding, CancelToken, HomEngine, HomPlan, Node, Structure, Term, VarMap,
+    add_hom_nodes_explored, exists_homomorphism, hom_nodes_explored, publish_hom_metrics, Binding,
+    CancelToken, HomPlan, Node, Structure, Term, VarMap, WcoPlan,
 };
 use cqfd_obs::{span, Counter, Histogram, Stopwatch, Unit};
 use std::collections::HashMap;
@@ -42,18 +42,11 @@ pub struct ChaseBudget {
     /// *application* is always sequential — this knob only changes
     /// wall-clock time.
     pub threads: usize,
-    /// Which homomorphism-search engine enumerates triggers and answers
-    /// head probes ([`HomEngine::Wco`] by default). Every stage's frontier
-    /// is canonicalised before application, so the chase result is
-    /// byte-identical under either engine — like `threads`, this knob only
-    /// changes how fast the answer arrives (and the search-node counts).
-    pub hom_engine: HomEngine,
 }
 
-/// Budgets compare by their declared *limits*; the token, deadline,
-/// thread count and hom engine are runtime controls, not part of the
-/// budget's identity (none of them can change the result, only how fast
-/// it arrives).
+/// Budgets compare by their declared *limits*; the token, deadline and
+/// thread count are runtime controls, not part of the budget's identity
+/// (none of them can change the result, only how fast it arrives).
 impl PartialEq for ChaseBudget {
     fn eq(&self, other: &Self) -> bool {
         self.max_stages == other.max_stages
@@ -73,7 +66,6 @@ impl Default for ChaseBudget {
             cancel: CancelToken::inert(),
             deadline: None,
             threads: 1,
-            hom_engine: HomEngine::default(),
         }
     }
 }
@@ -112,14 +104,6 @@ impl ChaseBudget {
     /// own cap.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects the homomorphism-search engine. Purely a performance knob:
-    /// frontier canonicalisation makes the chase result byte-identical
-    /// under either engine.
-    pub fn with_hom_engine(mut self, engine: HomEngine) -> Self {
-        self.hom_engine = engine;
         self
     }
 
@@ -866,7 +850,7 @@ impl ChaseEngine {
         // allocation, recorded firings, every downstream artifact —
         // depends only on the *set* of matches, never on enumeration
         // order or slicing. This is what makes the chase byte-identical
-        // across hom engines, thread counts and the paper's naive stages.
+        // across thread counts, delta slicing and the paper's naive stages.
         let mut merged: Vec<Vec<Frontier>> = (0..self.tgds.len()).map(|_| Vec::new()).collect();
         for (slice, res) in slices.iter().zip(results) {
             let frontiers = res.expect("uncancelled stage enumerated every slice");
@@ -912,10 +896,9 @@ impl ChaseEngine {
     ) -> Vec<Frontier> {
         let tgd = &self.tgds[slice.ti];
         let body = tgd.body();
-        // One compiled plan per slice (engine-routed), reused across every
-        // seed.
-        let body_plan = AnyPlan::compile(budget.hom_engine, body, d);
-        let head_plan = AnyPlan::compile(budget.hom_engine, tgd.head(), d);
+        // One compiled plan per slice, reused across every seed.
+        let body_plan = WcoPlan::compile(body, d);
+        let head_plan = WcoPlan::compile(tgd.head(), d);
         let head_limits = vec![frozen; tgd.head().len()];
         let frontier_slots: Vec<u32> = tgd
             .frontier()
@@ -954,9 +937,8 @@ impl ChaseEngine {
             if let Some(&i) = bucket.iter().find(|&&i| out[i as usize].tuple == tuple) {
                 // Duplicate frontier tuple. When recording, keep the
                 // lexicographically least full assignment so the recorded
-                // firing does not depend on enumeration order (the hom
-                // engines enumerate the same match set in different
-                // orders).
+                // firing does not depend on enumeration order (slices and
+                // seeds reach the same match set in different orders).
                 if recording {
                     let cand = sorted_assignment(b);
                     let cur = out[i as usize]
@@ -1071,7 +1053,7 @@ impl ChaseEngine {
                 // Condition ­: is ∃z̄ Ψ(z̄, b̄) already true in the *live* D?
                 // (The frozen pre-check said no; earlier applications this
                 // stage may have satisfied it since.)
-                if exists_homomorphism_with(budget.hom_engine, tgd.head(), d, &fixed) {
+                if exists_homomorphism(tgd.head(), d, &fixed) {
                     continue;
                 }
                 self.apply(tgd, &fixed, d, &mut args);
@@ -1140,8 +1122,6 @@ impl ChaseEngine {
         for (i, tgd) in self.tgds.iter().enumerate() {
             let body_plan = HomPlan::compile(tgd.body(), d);
             let head_plan = HomPlan::compile(tgd.head(), d);
-            let body_limits = vec![u32::MAX; tgd.body().len()];
-            let head_limits = vec![u32::MAX; tgd.head().len()];
             let frontier_slots: Vec<(cqfd_core::Var, u32)> = tgd
                 .frontier()
                 .iter()
@@ -1155,14 +1135,14 @@ impl ChaseEngine {
                 })
                 .collect();
             let mut head_seeds: Vec<(u32, Node)> = Vec::with_capacity(frontier_slots.len());
-            let hit = body_plan.for_each_bindings(&[], &body_limits, |b| {
+            let hit = body_plan.for_each_bindings(&[], |b| {
                 head_seeds.clear();
                 for &(v, s) in &frontier_slots {
                     if let Some(hs) = head_plan.slot(v) {
                         head_seeds.push((hs, b.node(s)));
                     }
                 }
-                if head_plan.exists_seeded(&head_seeds, &head_limits) {
+                if head_plan.exists_seeded(&head_seeds) {
                     ControlFlow::Continue(())
                 } else {
                     let fixed: VarMap = frontier_slots

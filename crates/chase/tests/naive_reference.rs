@@ -7,8 +7,9 @@
 //! paper's full re-enumeration applies, in the same order. These
 //! properties check it the hard way: identical atoms, node count, stage
 //! history, firing log and outcome against [`naive::chase`], at 1, 2 and
-//! 4 enumeration threads, on the Theorem 14 chases, two rainworm
-//! families, random green-red instances, and a resumed run.
+//! 4 enumeration threads, on the Theorem 14 chases, three rainworm
+//! families (on a lasso with `T□`, and alone from `DI`), random green-red
+//! instances, and a resumed run.
 
 mod naive;
 
@@ -16,7 +17,7 @@ use cqfd_chase::{ChaseBudget, ChaseEngine, ChaseHooks, ChaseRun, ResumePoint};
 use cqfd_core::Structure;
 use cqfd_greengraph::{GreenGraph, L2System, Label, LabelSpace};
 use cqfd_greenred::{instances, DeterminacyOracle};
-use cqfd_rainworm::families::{counter_worm, forever_worm};
+use cqfd_rainworm::families::{counter_worm, forever_worm, halting_worm_short};
 use cqfd_rainworm::to_rules::tm_rules;
 use cqfd_separating::t_square;
 use cqfd_separating::theorem14::{separating_budget, separating_space, t_separating};
@@ -58,6 +59,10 @@ fn rainworm_chases_match_naive() {
     for (name, sys) in [
         ("forever-worm", tm_rules(&forever_worm()).union(&t_square())),
         (
+            "halting-worm",
+            tm_rules(&halting_worm_short()).union(&t_square()),
+        ),
+        (
             "counter-worm",
             tm_rules(&counter_worm(2)).union(&t_square()),
         ),
@@ -65,6 +70,21 @@ fn rainworm_chases_match_naive() {
         let g = lasso_model(worm_space(&sys), 3, 1);
         let engine = sys.engine(g.space());
         check_all_threads(&engine, g.structure(), &separating_budget(16), name);
+    }
+}
+
+/// `T_M∆` alone from `DI`: the Lemma 25 workload.
+#[test]
+fn rainworm_chases_from_di_match_naive() {
+    for (name, delta) in [
+        ("forever-worm", forever_worm()),
+        ("halting-worm", halting_worm_short()),
+        ("counter-worm", counter_worm(2)),
+    ] {
+        let sys = tm_rules(&delta);
+        let di = GreenGraph::di(Arc::new(LabelSpace::new(sys.labels())));
+        let engine = sys.engine(di.space());
+        check_all_threads(&engine, di.structure(), &ChaseBudget::stages(24), name);
     }
 }
 

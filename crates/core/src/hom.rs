@@ -1,11 +1,25 @@
 //! Homomorphism search: matching conjunctions of atoms into structures.
 //!
-//! This is the single evaluation engine of the workspace. A *pattern* is a
-//! conjunction of [`Atom<Term>`]s; a homomorphism is an assignment of
-//! pattern variables to structure nodes such that every pattern atom, with
-//! constants pinned to their constant nodes, is an atom of the target.
+//! A *pattern* is a conjunction of [`Atom<Term>`]s; a homomorphism is an
+//! assignment of pattern variables to structure nodes such that every
+//! pattern atom, with constants pinned to their constant nodes, is an atom
+//! of the target.
 //!
-//! The search is classic backtracking join with two standard optimisations:
+//! Two compiled searches live here, each with one job:
+//!
+//! * [`WcoPlan`] (module [`wco`]) is the chase's engine: it enumerates every
+//!   stage's triggers over the frozen snapshot, with per-atom insertion-order
+//!   caps for the delta slices, and answers the head-satisfaction probes and
+//!   [`exists_homomorphism`]. The chase canonicalises each stage's frontier,
+//!   so only the match *set* of this engine reaches any output.
+//! * [`HomPlan`] backs the ad-hoc searches — [`find_homomorphism`],
+//!   [`all_homomorphisms`], [`for_each_homomorphism`],
+//!   [`structure_homomorphism`] and the chase crate's model check. Its
+//!   first-match order picks the witnesses that finite-model certificates
+//!   record, so it stays until those witnesses are made order-independent.
+//!
+//! [`HomPlan`] is a classic backtracking join with two standard
+//! optimisations:
 //!
 //! * **atom ordering**: at each step the atom with the most bound argument
 //!   positions (and, among ties, the smallest candidate index) is expanded
@@ -14,15 +28,14 @@
 //!   by-(predicate, position, node) index whenever any argument is bound,
 //!   falling back to the by-predicate list otherwise.
 //!
-//! Patterns are **compiled** before searching ([`HomPlan`]): each variable
-//! gets a dense slot, constants are resolved to their target nodes once, and
-//! the partial assignment lives in a `Vec<Option<Node>>` indexed by slot
-//! with an undo trail — no `HashMap` operations on the hot path. A
-//! [`VarMap`] is materialised only at match emission (and callers that can
-//! consume raw [`Binding`]s skip even that). A plan borrows its target, so
-//! it can be compiled once and reused across many seeded searches as long
-//! as the target is not mutated in between — exactly the shape of the
-//! chase's per-stage frontier enumeration.
+//! Patterns are **compiled** before searching: each variable gets a dense
+//! slot, constants are resolved to their target nodes once, and the partial
+//! assignment lives in a `Vec<Option<Node>>` indexed by slot with an undo
+//! trail — no `HashMap` operations on the hot path. A [`VarMap`] is
+//! materialised only at match emission (and callers that can consume raw
+//! [`Binding`]s skip even that). A plan borrows its target, so it can be
+//! compiled once and reused across many seeded searches as long as the
+//! target is not mutated in between.
 //!
 //! Used by conjunctive-query evaluation (`D |= Q(ā)`, paper §II.A), by TGD
 //! trigger enumeration in the chase (§II.B–C), and by the universality
@@ -56,66 +69,6 @@ thread_local! {
     static PENDING_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
     /// Variable-order plan-cache misses (wco engine) not yet drained.
     static PENDING_CACHE_MISSES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Which homomorphism-search engine to run (paper §II.B–C machinery).
-///
-/// Both engines enumerate exactly the same set of matches; they differ in
-/// strategy and therefore in enumeration order and search cost:
-///
-/// * [`HomEngine::Legacy`] — the atom-at-a-time backtracking join of
-///   [`HomPlan`] (most-constrained-atom heuristic, tightest single-position
-///   index slice per step);
-/// * [`HomEngine::Wco`] — the worst-case-optimal, variable-at-a-time
-///   generic join of [`wco::WcoPlan`] (k-way sorted intersection over the
-///   columnar postings, selectivity-ordered variables, cached plans).
-///
-/// The chase sorts each stage's trigger frontier canonically before
-/// applying it, so chase *results* — structures, firings, verdicts,
-/// certificates — are byte-identical across engines; only wall time and
-/// the search-node counts differ. That makes the flag safe to flip per
-/// run, and makes differential testing (`--hom-engine legacy|wco`) a
-/// byte-diff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HomEngine {
-    /// Atom-at-a-time backtracking join ([`HomPlan`]).
-    Legacy,
-    /// Worst-case-optimal variable-at-a-time join ([`wco::WcoPlan`]).
-    #[default]
-    Wco,
-}
-
-impl HomEngine {
-    /// Stable lowercase name, as accepted by [`HomEngine::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HomEngine::Legacy => "legacy",
-            HomEngine::Wco => "wco",
-        }
-    }
-
-    /// Parses `legacy` / `wco` (the `--hom-engine` / `hom=` spellings).
-    pub fn parse(s: &str) -> Option<HomEngine> {
-        match s {
-            "legacy" => Some(HomEngine::Legacy),
-            "wco" => Some(HomEngine::Wco),
-            _ => None,
-        }
-    }
-}
-
-impl std::str::FromStr for HomEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        HomEngine::parse(s).ok_or_else(|| format!("bad hom engine `{s}` (want legacy | wco)"))
-    }
-}
-
-impl std::fmt::Display for HomEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// The number of homomorphism-search nodes (candidate-binding attempts)
@@ -221,8 +174,8 @@ pub fn publish_hom_metrics() {
 }
 
 /// Counts one explored search node (both the monotone thread counter and
-/// the pending registry cell). Shared by both engines so per-run
-/// before/after deltas are engine-comparable.
+/// the pending registry cell). Shared by [`HomPlan`] and [`WcoPlan`], so
+/// both count in the same unit.
 pub(crate) fn count_search_node() {
     HOM_NODES.set(HOM_NODES.get() + 1);
     PENDING_NODES.set(PENDING_NODES.get() + 1);
@@ -263,41 +216,7 @@ pub fn for_each_homomorphism<B>(
     fixed: &VarMap,
     visit: impl FnMut(&VarMap) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
-    let limits = vec![u32::MAX; pattern.len()];
-    for_each_homomorphism_per_atom_limits(pattern, target, fixed, &limits, visit)
-}
-
-/// Like [`for_each_homomorphism`], but candidate target atoms are restricted
-/// to the first `limit` atoms of the target (by insertion order).
-///
-/// This is the "frozen snapshot" matching mode the chase uses: at stage
-/// `i+1`, triggers are enumerated over the atoms of `chaseᵢ` only, while the
-/// head-satisfaction check runs over the live structure (paper §II.C).
-pub fn for_each_homomorphism_limited<B>(
-    pattern: &[Atom<Term>],
-    target: &Structure,
-    fixed: &VarMap,
-    limit: u32,
-    visit: impl FnMut(&VarMap) -> ControlFlow<B>,
-) -> ControlFlow<B> {
-    let limits = vec![limit; pattern.len()];
-    for_each_homomorphism_per_atom_limits(pattern, target, fixed, &limits, visit)
-}
-
-/// The most general matching mode: a separate insertion-order candidate cap
-/// per pattern atom. The shape of the chase's delta-seeded slices, which
-/// seed one atom on the previous stage's delta and restrict earlier
-/// pattern atoms to older prefixes so every trigger is enumerated exactly
-/// once.
-pub fn for_each_homomorphism_per_atom_limits<B>(
-    pattern: &[Atom<Term>],
-    target: &Structure,
-    fixed: &VarMap,
-    limits: &[u32],
-    visit: impl FnMut(&VarMap) -> ControlFlow<B>,
-) -> ControlFlow<B> {
-    assert_eq!(limits.len(), pattern.len());
-    HomPlan::compile(pattern, target).for_each_maps(fixed, limits, visit)
+    HomPlan::compile(pattern, target).for_each_maps(fixed, visit)
 }
 
 /// Finds one homomorphism from `pattern` into `target` extending `fixed`.
@@ -327,8 +246,8 @@ pub fn all_homomorphisms(
 }
 
 /// One compiled pattern argument: either a dense variable slot or a target
-/// node a pattern constant resolved to at compile time. Shared between the
-/// legacy and wco engines so their slot numbering is interchangeable.
+/// node a pattern constant resolved to at compile time. Shared by
+/// [`HomPlan`] and [`WcoPlan`] so their slot numbering is interchangeable.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum PArg {
     Slot(u32),
@@ -392,17 +311,16 @@ impl<'a> Binding<'a> {
 /// candidate hot path does no hashing and no allocation.
 ///
 /// The plan borrows the target: it stays valid as long as the target is not
-/// mutated. The chase compiles one plan per `(TGD, delta-position)` slice
-/// against the frozen snapshot and reuses it across every delta seed; ad-hoc
-/// callers go through [`for_each_homomorphism`] and friends, which compile
-/// per call.
+/// mutated. Ad-hoc callers go through [`for_each_homomorphism`] and
+/// friends, which compile per call; the chase's model check compiles one
+/// body and one head plan per TGD. The plan has no candidate caps: the
+/// chase's frozen-snapshot enumeration runs on [`WcoPlan`].
 ///
 /// Enumeration order and search-node counts are identical to the historical
 /// uncompiled search: the atom-ordering heuristic and index selection read
 /// the same statistics, only the representation of the partial assignment
 /// changed.
-pub struct HomPlan<'p, 't> {
-    pattern: &'p [Atom<Term>],
+pub struct HomPlan<'t> {
     target: &'t Structure,
     atoms: Vec<PlanAtom>,
     /// Slot → variable, in order of first occurrence in the pattern.
@@ -412,10 +330,9 @@ pub struct HomPlan<'p, 't> {
     dead: bool,
 }
 
-/// Shared front end of both engines: the pattern lowered to dense slots
-/// with constants resolved against one target. Keeping a single lowering
-/// guarantees the two engines agree on slot numbering, which is what lets
-/// the chase compute frontier seeds once per slice regardless of engine.
+/// Shared front end of [`HomPlan`] and [`WcoPlan`]: the pattern lowered to
+/// dense slots with constants resolved against one target. Keeping a single
+/// lowering guarantees the two plans agree on slot numbering.
 pub(crate) struct CompiledPattern {
     pub(crate) atoms: Vec<PlanAtom>,
     pub(crate) vars: Vec<Var>,
@@ -458,9 +375,9 @@ pub(crate) fn compile_pattern(pattern: &[Atom<Term>], target: &Structure) -> Com
     }
 }
 
-impl<'p, 't> HomPlan<'p, 't> {
+impl<'t> HomPlan<'t> {
     /// Compiles `pattern` against `target`.
-    pub fn compile(pattern: &'p [Atom<Term>], target: &'t Structure) -> Self {
+    pub fn compile(pattern: &[Atom<Term>], target: &'t Structure) -> Self {
         let CompiledPattern {
             atoms,
             vars,
@@ -468,7 +385,6 @@ impl<'p, 't> HomPlan<'p, 't> {
             dead,
         } = compile_pattern(pattern, target);
         HomPlan {
-            pattern,
             target,
             atoms,
             vars,
@@ -493,18 +409,15 @@ impl<'p, 't> HomPlan<'p, 't> {
     }
 
     /// Enumerates matches as raw [`Binding`]s, with slots in `seeds`
-    /// pre-bound. `limits[i]` caps atom `i`'s candidates to the first
-    /// `limits[i]` target atoms in insertion order (`u32::MAX` = no cap).
+    /// pre-bound.
     ///
     /// This is the allocation-light entry point for hot loops: no `VarMap`
     /// is built unless the visitor asks for one.
     pub fn for_each_bindings<B>(
         &self,
         seeds: &[(u32, Node)],
-        limits: &[u32],
         mut visit: impl FnMut(&Binding) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
-        assert_eq!(limits.len(), self.pattern.len());
         if self.dead {
             return ControlFlow::Continue(());
         }
@@ -518,7 +431,7 @@ impl<'p, 't> HomPlan<'p, 't> {
         }
         let mut order: Vec<usize> = (0..self.atoms.len()).collect();
         let mut trail: Vec<u32> = Vec::with_capacity(self.vars.len());
-        self.run(&mut slots, &mut order, &mut trail, limits, 0, &mut |sl| {
+        self.run(&mut slots, &mut order, &mut trail, 0, &mut |sl| {
             visit(&Binding {
                 vars: &self.vars,
                 slots: sl,
@@ -526,24 +439,22 @@ impl<'p, 't> HomPlan<'p, 't> {
         })
     }
 
-    /// `true` iff at least one match exists with `seeds` pre-bound, under
-    /// the given per-atom candidate limits.
+    /// `true` iff at least one match exists with `seeds` pre-bound.
     ///
-    /// This is the chase's head-satisfaction probe: seed the frontier slots
-    /// and ask whether the head already matches.
-    pub fn exists_seeded(&self, seeds: &[(u32, Node)], limits: &[u32]) -> bool {
-        self.for_each_bindings(seeds, limits, |_| ControlFlow::Break(()))
+    /// This is the model check's head-satisfaction probe: seed the frontier
+    /// slots and ask whether the head already matches.
+    pub fn exists_seeded(&self, seeds: &[(u32, Node)]) -> bool {
+        self.for_each_bindings(seeds, |_| ControlFlow::Break(()))
             .is_break()
     }
 
     /// Enumerates matches as [`VarMap`]s extending `fixed`, like
-    /// [`for_each_homomorphism_per_atom_limits`]. Entries of `fixed` whose
-    /// variables occur in the pattern seed the search; the rest are carried
-    /// into every emitted map unchanged.
+    /// [`for_each_homomorphism`]. Entries of `fixed` whose variables occur
+    /// in the pattern seed the search; the rest are carried into every
+    /// emitted map unchanged.
     pub fn for_each_maps<B>(
         &self,
         fixed: &VarMap,
-        limits: &[u32],
         mut visit: impl FnMut(&VarMap) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         let mut seeds: Vec<(u32, Node)> = Vec::with_capacity(fixed.len());
@@ -553,7 +464,7 @@ impl<'p, 't> HomPlan<'p, 't> {
             }
         }
         let mut out = fixed.clone();
-        self.for_each_bindings(&seeds, limits, |b| {
+        self.for_each_bindings(&seeds, |b| {
             for (&v, n) in b.vars.iter().zip(b.slots) {
                 out.insert(v, n.expect("full binding"));
             }
@@ -561,10 +472,9 @@ impl<'p, 't> HomPlan<'p, 't> {
         })
     }
 
-    /// Finds one match extending `fixed`, with no candidate limits.
+    /// Finds one match extending `fixed`.
     pub fn find(&self, fixed: &VarMap) -> Option<VarMap> {
-        let limits = vec![u32::MAX; self.pattern.len()];
-        match self.for_each_maps(fixed, &limits, |m| ControlFlow::Break(m.clone())) {
+        match self.for_each_maps(fixed, |m| ControlFlow::Break(m.clone())) {
             ControlFlow::Break(m) => Some(m),
             ControlFlow::Continue(()) => None,
         }
@@ -575,7 +485,6 @@ impl<'p, 't> HomPlan<'p, 't> {
         slots: &mut Vec<Option<Node>>,
         order: &mut Vec<usize>,
         trail: &mut Vec<u32>,
-        limits: &[u32],
         depth: usize,
         visit: &mut F,
     ) -> ControlFlow<B> {
@@ -590,16 +499,12 @@ impl<'p, 't> HomPlan<'p, 't> {
 
         // Enumerate candidate target atoms for `atom` straight off the
         // index slice — no per-step allocation.
-        let limit = limits[atom_idx];
         let candidates = self.candidate_slice(atom, slots);
         for &ai in candidates {
-            if ai >= limit {
-                break;
-            }
             let cand = self.target.atom(ai);
             let mark = trail.len();
             if self.try_bind(atom, cand, slots, trail) {
-                let flow = self.run(slots, order, trail, limits, depth + 1, visit);
+                let flow = self.run(slots, order, trail, depth + 1, visit);
                 if flow.is_break() {
                     return flow;
                 }
@@ -711,78 +616,14 @@ impl<'p, 't> HomPlan<'p, 't> {
     }
 }
 
-/// An engine-dispatched compiled pattern: the [`HomEngine`]-selected
-/// counterpart of [`HomPlan`], with the same seeded-enumeration surface.
-///
-/// The chase compiles one plan per `(TGD, delta-position)` slice; routing
-/// through this enum keeps that code engine-agnostic. Slot numbering is
-/// identical across variants (both lower through the same
-/// [`compile_pattern`] front end), so seeds computed via [`AnyPlan::slot`]
-/// are valid for either engine.
-// Boxing the larger (wco) variant would put an allocation on the chase's
-// per-slice compile path — the exact cost the wco plan's buffer stashes
-// exist to avoid — and plans live on the stack of one enumeration call,
-// so the size gap is harmless.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyPlan<'p, 't> {
-    /// Atom-at-a-time backtracking join.
-    Legacy(HomPlan<'p, 't>),
-    /// Worst-case-optimal variable-at-a-time join.
-    Wco(wco::WcoPlan<'p, 't>),
-}
-
-impl<'p, 't> AnyPlan<'p, 't> {
-    /// Compiles `pattern` against `target` for the given engine.
-    pub fn compile(engine: HomEngine, pattern: &'p [Atom<Term>], target: &'t Structure) -> Self {
-        match engine {
-            HomEngine::Legacy => AnyPlan::Legacy(HomPlan::compile(pattern, target)),
-            HomEngine::Wco => AnyPlan::Wco(wco::WcoPlan::compile(pattern, target)),
-        }
-    }
-
-    /// The slot assigned to variable `v`, if `v` occurs in the pattern.
-    pub fn slot(&self, v: Var) -> Option<u32> {
-        match self {
-            AnyPlan::Legacy(p) => p.slot(v),
-            AnyPlan::Wco(p) => p.slot(v),
-        }
-    }
-
-    /// Engine-dispatched [`HomPlan::for_each_bindings`].
-    pub fn for_each_bindings<B>(
-        &self,
-        seeds: &[(u32, Node)],
-        limits: &[u32],
-        visit: impl FnMut(&Binding) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        match self {
-            AnyPlan::Legacy(p) => p.for_each_bindings(seeds, limits, visit),
-            AnyPlan::Wco(p) => p.for_each_bindings(seeds, limits, visit),
-        }
-    }
-
-    /// Engine-dispatched [`HomPlan::exists_seeded`].
-    pub fn exists_seeded(&self, seeds: &[(u32, Node)], limits: &[u32]) -> bool {
-        match self {
-            AnyPlan::Legacy(p) => p.exists_seeded(seeds, limits),
-            AnyPlan::Wco(p) => p.exists_seeded(seeds, limits),
-        }
-    }
-}
-
 /// `true` iff a homomorphism from `pattern` into `target` extending `fixed`
-/// exists, searched with the given engine.
+/// exists, searched with [`WcoPlan`].
 ///
-/// The boolean-only sibling of [`find_homomorphism`], for callers that are
-/// on a hot path and engine-routed (the chase's live head re-check, the
-/// oracle's per-stage monitor) but do not need the witness map.
-pub fn exists_homomorphism_with(
-    engine: HomEngine,
-    pattern: &[Atom<Term>],
-    target: &Structure,
-    fixed: &VarMap,
-) -> bool {
-    let plan = AnyPlan::compile(engine, pattern, target);
+/// The boolean-only sibling of [`find_homomorphism`], for hot-path callers
+/// that do not need the witness map (the chase's live head re-check, the
+/// oracle's per-stage monitor).
+pub fn exists_homomorphism(pattern: &[Atom<Term>], target: &Structure, fixed: &VarMap) -> bool {
+    let plan = WcoPlan::compile(pattern, target);
     let mut seeds: Vec<(u32, Node)> = Vec::with_capacity(fixed.len());
     for (v, n) in fixed {
         if let Some(s) = plan.slot(*v) {
@@ -1004,11 +845,10 @@ mod tests {
         let (d, nodes) = path_structure(4);
         let pattern = vec![edge_atom(&d, 0, 1), edge_atom(&d, 1, 2)];
         let plan = HomPlan::compile(&pattern, &d);
-        let limits = vec![u32::MAX; pattern.len()];
         let s0 = plan.slot(Var(0)).unwrap();
         for &seed in &nodes {
             let mut via_plan: Vec<VarMap> = Vec::new();
-            let _: ControlFlow<()> = plan.for_each_bindings(&[(s0, seed)], &limits, |b| {
+            let _: ControlFlow<()> = plan.for_each_bindings(&[(s0, seed)], |b| {
                 via_plan.push(b.to_varmap());
                 ControlFlow::Continue(())
             });
@@ -1029,31 +869,15 @@ mod tests {
         let (d, nodes) = path_structure(3);
         let pattern = vec![edge_atom(&d, 0, 1), edge_atom(&d, 1, 2)];
         let plan = HomPlan::compile(&pattern, &d);
-        let limits = vec![u32::MAX; pattern.len()];
         let s0 = plan.slot(Var(0)).unwrap();
         for &n in &nodes {
             let mut fixed = VarMap::new();
             fixed.insert(Var(0), n);
             assert_eq!(
-                plan.exists_seeded(&[(s0, n)], &limits),
+                plan.exists_seeded(&[(s0, n)]),
                 find_homomorphism(&pattern, &d, &fixed).is_some()
             );
         }
-    }
-
-    #[test]
-    fn per_atom_limits_respected_by_plan() {
-        // With atom 0 limited to the first target atom, only matches using
-        // that atom survive.
-        let (d, _) = path_structure(3);
-        let pattern = vec![edge_atom(&d, 0, 1), edge_atom(&d, 1, 2)];
-        let mut count = 0usize;
-        let _: ControlFlow<()> =
-            for_each_homomorphism_per_atom_limits(&pattern, &d, &VarMap::new(), &[1, 3], |_| {
-                count += 1;
-                ControlFlow::Continue(())
-            });
-        assert_eq!(count, 1);
     }
 
     #[test]

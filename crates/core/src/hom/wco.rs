@@ -1,6 +1,7 @@
-//! Worst-case-optimal homomorphism search over the columnar substrate.
+//! Worst-case-optimal homomorphism search over the columnar substrate: the
+//! chase's trigger enumerator.
 //!
-//! The legacy [`HomPlan`](super::HomPlan) engine is an atom-at-a-time
+//! The ad-hoc [`HomPlan`](super::HomPlan) search is an atom-at-a-time
 //! backtracking join: it places one whole pattern atom per step, scanning
 //! the tightest *single-position* index slice for candidates. This module
 //! is the generic-join alternative: a **variable-at-a-time** search in the
@@ -25,7 +26,7 @@
 //!   variables, or when value enumeration would not collapse anything
 //!   (every candidate row carries a distinct value), the factorised
 //!   enumeration degenerates and the engine walks the pivot's candidate
-//!   rows directly — one search node per row, the same unit the legacy
+//!   rows directly — one search node per row, the same unit the backtracking
 //!   engine charges.
 //!
 //! Variable order comes from a planner that scores each variable by its
@@ -39,9 +40,10 @@
 //! design, and every epoch bump invalidates — which is why the miss
 //! path is kept allocation-lean rather than the cache being relied on.
 //!
-//! Both engines enumerate the same match *set*; order differs. The chase
-//! canonicalises each stage's frontier before applying it, which is what
-//! turns "same set" into byte-identical downstream artifacts.
+//! [`WcoPlan`] and [`HomPlan`](super::HomPlan) enumerate the same match
+//! *set*; order differs. The chase canonicalises each stage's frontier
+//! before applying it, so only the set reaches a structure, a verdict or a
+//! certificate.
 
 use super::{
     compile_pattern, count_backtrack, count_cache_hit, count_cache_miss, count_intersection_steps,
@@ -76,9 +78,9 @@ thread_local! {
 /// target structure.
 ///
 /// Mirrors [`HomPlan`](super::HomPlan)'s surface (`slot`,
-/// `for_each_bindings`, `exists_seeded`, `for_each_maps`, `find`) with
-/// identical slot numbering — both engines lower through the same front
-/// end — so callers can swap engines without recomputing seeds.
+/// `for_each_bindings`, `exists_seeded`, `for_each_maps`, `find`), plus
+/// per-atom candidate caps, with identical slot numbering: both plans
+/// lower through the same front end.
 pub struct WcoPlan<'p, 't> {
     pattern: &'p [Atom<Term>],
     target: &'t Structure,
@@ -126,7 +128,7 @@ struct State<'t> {
     /// groups, row/undo bookkeeping), recycled on backtrack so the inner
     /// loop stops hitting the allocator: the search expands hundreds of
     /// thousands of nodes per chase and a malloc per node is the
-    /// difference between winning and losing against the legacy engine.
+    /// difference between winning and losing against the backtracking search.
     pool: Vec<Vec<u32>>,
     pairs_pool: Vec<Vec<(Node, u32)>>,
     unbound_pool: Vec<Vec<(usize, u32)>>,
@@ -397,8 +399,13 @@ impl<'p, 't> WcoPlan<'p, 't> {
     /// Enumerates matches as raw [`Binding`]s, with slots in `seeds`
     /// pre-bound; `limits[i]` caps atom `i`'s candidates to the first
     /// `limits[i]` target atoms in insertion order (`u32::MAX` = no cap).
-    /// Same contract as [`HomPlan::for_each_bindings`](super::HomPlan::for_each_bindings),
-    /// different enumeration order.
+    ///
+    /// The caps are the chase's frozen-snapshot mode: a stage enumerates
+    /// triggers over the atoms of `chaseᵢ` only (paper §II.C), and a delta
+    /// slice restricts the atoms before its seed position to the previous
+    /// stage's prefix so every trigger is enumerated exactly once. Same
+    /// match set as [`HomPlan::for_each_bindings`](super::HomPlan::for_each_bindings)
+    /// when no cap binds, different enumeration order.
     pub fn for_each_bindings<B>(
         &self,
         seeds: &[(u32, Node)],
@@ -529,7 +536,8 @@ impl<'p, 't> WcoPlan<'p, 't> {
     }
 
     /// Enumerates matches as [`VarMap`]s extending `fixed`, like
-    /// [`HomPlan::for_each_maps`](super::HomPlan::for_each_maps).
+    /// [`HomPlan::for_each_maps`](super::HomPlan::for_each_maps) but under
+    /// per-atom candidate caps.
     pub fn for_each_maps<B>(
         &self,
         fixed: &VarMap,
@@ -704,7 +712,7 @@ impl<'p, 't> WcoPlan<'p, 't> {
             if st.full_len[aj] == cur_len as u32 {
                 // Untouched full prefix: `posting ∩ cands[aj]` is the
                 // clamped posting itself — swap it in as a borrow, the
-                // same lazy move the legacy engine makes at depth entry.
+                // same lazy move `HomPlan` makes at depth entry.
                 let posting = clamp(
                     self.target.pred_pos_node_index(self.atoms[aj].pred, pos, v),
                     st.limits[aj],
@@ -816,7 +824,7 @@ impl<'p, 't> WcoPlan<'p, 't> {
     }
 
     /// Walks the pivot's candidate rows, binding all its unbound slots
-    /// from each row at once (one search node per row — the legacy
+    /// from each row at once (one search node per row — the backtracking
     /// engine's unit), then propagating the new bindings into every other
     /// atom that mentions them. With `solo` set the pivot is the only
     /// open atom: propagation is vacuous and every consistent row is
@@ -1109,43 +1117,97 @@ mod tests {
         assert_eq!(legacy.len(), 6, "two triangles, three rotations each");
     }
 
+    /// The insertion-order id of the ground atom `pattern[i]` maps to under
+    /// `m` (atoms are deduplicated, so the id is unique).
+    fn image_id(d: &Structure, atom: &Atom<Term>, m: &VarMap) -> u32 {
+        let args: Vec<Node> = atom
+            .args
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => m[v],
+                Term::Const(c) => d.existing_const_node(*c).expect("constant in target"),
+            })
+            .collect();
+        *d.pred_index(atom.pred)
+            .iter()
+            .find(|&&row| d.args_of(row) == args.as_slice())
+            .expect("a match maps every pattern atom onto a target atom")
+    }
+
+    /// The frozen-snapshot contract: under `limits`, the plan yields exactly
+    /// the unlimited matches (taken from the independent backtracking
+    /// [`HomPlan`]) whose image of pattern atom `i` has id `< limits[i]`.
     #[test]
-    fn agrees_with_legacy_under_seeds_and_limits() {
+    fn limits_keep_exactly_the_matches_inside_each_atom_prefix() {
         let (d, n) = triangle_world();
         let pattern = vec![edge(&d, 0, 1), edge(&d, 1, 2)];
-        let legacy_plan = HomPlan::compile(&pattern, &d);
+        let reference_plan = HomPlan::compile(&pattern, &d);
         let wco_plan = WcoPlan::compile(&pattern, &d);
         let s0 = wco_plan.slot(Var(0)).unwrap();
-        assert_eq!(legacy_plan.slot(Var(0)), Some(s0), "slot numbering shared");
-        for limit0 in [0u32, 1, 3, u32::MAX] {
+        assert_eq!(
+            reference_plan.slot(Var(0)),
+            Some(s0),
+            "slot numbering shared"
+        );
+        for limits in [
+            [0u32, u32::MAX],
+            [1, u32::MAX],
+            [3, u32::MAX],
+            [u32::MAX, 2],
+            [4, 5],
+            [u32::MAX, u32::MAX],
+        ] {
             for &seed in &n {
-                let limits = [limit0, u32::MAX];
-                let collect = |f: &dyn Fn(&mut Vec<VarMap>)| {
-                    let mut v = Vec::new();
-                    f(&mut v);
-                    sorted_maps(v)
-                };
-                let legacy = collect(&|out| {
-                    let _: ControlFlow<()> =
-                        legacy_plan.for_each_bindings(&[(s0, seed)], &limits, |b| {
-                            out.push(b.to_varmap());
-                            ControlFlow::Continue(())
-                        });
+                let mut reference = Vec::new();
+                let _: ControlFlow<()> = reference_plan.for_each_bindings(&[(s0, seed)], |b| {
+                    let m = b.to_varmap();
+                    if pattern
+                        .iter()
+                        .zip(limits)
+                        .all(|(atom, limit)| image_id(&d, atom, &m) < limit)
+                    {
+                        reference.push(m);
+                    }
+                    ControlFlow::Continue(())
                 });
-                let wco = collect(&|out| {
-                    let _: ControlFlow<()> =
-                        wco_plan.for_each_bindings(&[(s0, seed)], &limits, |b| {
-                            out.push(b.to_varmap());
-                            ControlFlow::Continue(())
-                        });
+                let mut wco = Vec::new();
+                let _: ControlFlow<()> = wco_plan.for_each_bindings(&[(s0, seed)], &limits, |b| {
+                    wco.push(b.to_varmap());
+                    ControlFlow::Continue(())
                 });
-                assert_eq!(legacy, wco, "seed {seed:?} limit {limit0}");
+                let reference = sorted_maps(reference);
                 assert_eq!(
-                    legacy_plan.exists_seeded(&[(s0, seed)], &limits),
-                    wco_plan.exists_seeded(&[(s0, seed)], &limits)
+                    sorted_maps(wco),
+                    reference,
+                    "seed {seed:?} limits {limits:?}"
+                );
+                assert_eq!(
+                    wco_plan.exists_seeded(&[(s0, seed)], &limits),
+                    !reference.is_empty()
                 );
             }
         }
+    }
+
+    #[test]
+    fn per_atom_limits_respected_by_plan() {
+        // On the path 0→1→2→3 with atom 0 limited to the first target atom,
+        // only the match using that atom survives.
+        let mut sig = Signature::new();
+        let e = sig.add_predicate("E", 2);
+        let mut d = Structure::new(Arc::new(sig));
+        let n: Vec<Node> = (0..4).map(|_| d.fresh_node()).collect();
+        for w in n.windows(2) {
+            d.add(e, &[w[0], w[1]]);
+        }
+        let pattern = vec![edge(&d, 0, 1), edge(&d, 1, 2)];
+        let mut count = 0usize;
+        let _: ControlFlow<()> =
+            WcoPlan::compile(&pattern, &d).for_each_maps(&VarMap::new(), &[1, 3], |_| {
+                count += 1;
+                ControlFlow::Continue(())
+            });
+        assert_eq!(count, 1);
     }
 
     #[test]

@@ -65,10 +65,9 @@ pub use core_of::{compact, core_of, hom_equivalent, is_core};
 pub use cq::{AnswerSet, Cq};
 pub use error::CoreError;
 pub use hom::{
-    add_hom_nodes_explored, all_homomorphisms, exists_homomorphism_with, find_homomorphism,
-    for_each_homomorphism, for_each_homomorphism_limited, for_each_homomorphism_per_atom_limits,
-    hom_nodes_explored, publish_hom_metrics, reset_hom_nodes_explored, structure_homomorphism,
-    AnyPlan, Binding, HomEngine, HomPlan, VarMap, WcoPlan,
+    add_hom_nodes_explored, all_homomorphisms, exists_homomorphism, find_homomorphism,
+    for_each_homomorphism, hom_nodes_explored, publish_hom_metrics, reset_hom_nodes_explored,
+    structure_homomorphism, Binding, HomPlan, VarMap, WcoPlan,
 };
 pub use iso::isomorphic;
 pub use signature::{ConstId, PredId, Signature};

@@ -438,9 +438,9 @@ impl Structure {
 
     /// The raw by-(predicate, position, node) posting: ascending global
     /// atom ids carrying `node` at position `pos`. Companion of
-    /// [`Self::pred_index`] for the hom-search hot paths; both engines
-    /// rely on the ascending order (the legacy engine to stop prefix scans
-    /// early, the wco engine for sorted intersection).
+    /// [`Self::pred_index`] for the hom-search hot paths; the wco engine
+    /// relies on the ascending order, both to clamp a posting to a prefix
+    /// of the atoms and for sorted intersection.
     pub fn pred_pos_node_index(&self, pred: PredId, pos: u8, node: Node) -> &[u32] {
         self.rel(pred)
             .and_then(|r| r.postings.get(pos as usize))

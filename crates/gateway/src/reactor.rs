@@ -14,7 +14,9 @@
 //! * each connection is a small state machine (read buffer, write
 //!   buffer, one in-flight job) with nonblocking reads/writes and a
 //!   **read deadline** that cuts off mid-request stalls without ever
-//!   timing out idle keep-alive connections;
+//!   timing out idle keep-alive connections; a connection closed after
+//!   an error reply shuts its write side and drains reads until EOF or a
+//!   short linger bound, so the peer reads the reply instead of a reset;
 //! * admitted jobs pass **per-tenant token buckets**
 //!   ([`crate::admission`]) and wait in two bounded **priority lanes**
 //!   (interactive drains before batch) in front of the worker pool;
@@ -40,7 +42,7 @@ use polling::{Event, Poller};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -56,6 +58,10 @@ const FIRST_CONN_KEY: usize = 2;
 /// Stop reading from a connection whose buffered input outgrows this
 /// (backpressure toward the peer; parsing drains it back down).
 const READ_HIGH_WATER: usize = 4 * 1024 * 1024;
+
+/// How long a connection closed after an error reply keeps reading (and
+/// discarding) before it is closed anyway.
+const LINGER: Duration = Duration::from_secs(1);
 
 /// Everything the gateway can be told at bind time.
 pub struct GatewayConfig {
@@ -314,6 +320,15 @@ struct Conn {
     /// No further requests; close once the write buffer drains and no
     /// job is in flight.
     closing: bool,
+    /// The close follows an error reply, and the peer may still be
+    /// sending the request it answers. Closing a socket with unread bytes
+    /// sends a reset, which can discard the reply before the peer reads
+    /// it; so once the reply is flushed the write side is shut instead,
+    /// and the connection drains.
+    linger: bool,
+    /// Write side shut after an error reply: reads are discarded until
+    /// EOF or `read_deadline`, then the connection is closed.
+    draining: bool,
     /// Tear down now (I/O error / EOF).
     dead: bool,
     /// Interest last registered with the poller `(readable, writable)`.
@@ -608,6 +623,8 @@ impl Reactor {
                         busy: false,
                         http_streaming: false,
                         closing: false,
+                        linger: false,
+                        draining: false,
                         dead: false,
                         interest: (true, false),
                     };
@@ -636,12 +653,16 @@ impl Reactor {
             return;
         };
         let mut chunk = [0u8; 16 * 1024];
-        while conn.rbuf.len() < READ_HIGH_WATER {
+        // A draining connection discards what it reads, at most a
+        // high-water mark's worth per wakeup.
+        let mut discarded = 0;
+        while conn.rbuf.len() + discarded < READ_HIGH_WATER {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.dead = true;
                     return;
                 }
+                Ok(n) if conn.draining => discarded += n,
                 Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -678,7 +699,8 @@ impl Reactor {
         }
         // Deadline bookkeeping: a partial request pending on an otherwise
         // idle connection starts the stall clock; anything else clears it.
-        if let Some(conn) = self.conns.get_mut(&key) {
+        // A draining connection's deadline is its linger bound instead.
+        if let Some(conn) = self.conns.get_mut(&key).filter(|c| !c.draining) {
             let stalled = !conn.rbuf.is_empty() && !conn.busy && !conn.closing && !conn.dead;
             match (conn.read_deadline, stalled) {
                 (None, true) => {
@@ -708,6 +730,7 @@ impl Reactor {
                         self.config.max_line_bytes
                     ));
                     conn.closing = true;
+                    conn.linger = true;
                 }
                 return false;
             };
@@ -782,6 +805,7 @@ impl Reactor {
                     body.as_bytes(),
                 ));
                 conn.closing = true;
+                conn.linger = true;
                 return false;
             }
             http::Parse::Complete { value, consumed } => {
@@ -1135,6 +1159,11 @@ impl Reactor {
             let conn = self.conns.get_mut(&key).expect("conn alive");
             conn.read_deadline = None;
             self.deadline_count -= 1;
+            if conn.draining {
+                conn.dead = true;
+                touched.push(key);
+                continue;
+            }
             match conn.proto {
                 Proto::Line => {
                     conn.push_line(&format!("error: request line not completed within {ms} ms"));
@@ -1151,6 +1180,7 @@ impl Reactor {
                 }
             }
             conn.closing = true;
+            conn.linger = true;
             touched.push(key);
         }
     }
@@ -1163,13 +1193,23 @@ impl Reactor {
         };
         conn.flush();
         let drained = !conn.has_unsent();
-        if conn.dead || (conn.closing && drained && !conn.busy) {
+        if conn.closing && drained && !conn.busy && conn.linger && !conn.dead {
+            conn.linger = false;
+            conn.draining = true;
+            conn.rbuf.clear();
+            let _ = conn.stream.shutdown(Shutdown::Write);
+            if conn.read_deadline.is_none() {
+                self.deadline_count += 1;
+            }
+            conn.read_deadline = Some(Instant::now() + LINGER);
+        }
+        if conn.dead || (conn.closing && drained && !conn.busy && !conn.draining) {
             self.reap(key);
             return;
         }
         let conn = self.conns.get_mut(&key).expect("conn alive");
         let want = (
-            !conn.closing && conn.rbuf.len() < READ_HIGH_WATER,
+            (conn.draining || !conn.closing) && conn.rbuf.len() < READ_HIGH_WATER,
             conn.has_unsent(),
         );
         if want != conn.interest {

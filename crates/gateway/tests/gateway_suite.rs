@@ -668,6 +668,40 @@ fn malformed_http_is_answered_and_never_wedges_the_reactor() {
 }
 
 #[test]
+fn an_error_reply_survives_a_peer_that_keeps_sending() {
+    // The peer is still sending when its oversized head is refused, so
+    // unread bytes sit in the server's socket. Closing it then would send
+    // a reset, and the peer would read ECONNRESET after (or instead of)
+    // the 431; the connection must half-close and drain instead.
+    let gw = Gateway::bind(None, Some("127.0.0.1:0"), one_worker())
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let mut stream = TcpStream::connect(gw.http_addr().unwrap()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(b"GET / HTTP/1.1\r\nX-Filler: ");
+        for _ in 0..128 {
+            if writer.write_all(&[b'a'; 64 * 1024]).is_err() {
+                break;
+            }
+        }
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+    });
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("read 431 + FIN, not a reset");
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
+    sender.join().unwrap();
+    gw.shutdown();
+}
+
+#[test]
 fn mid_request_stalls_hit_the_read_deadline_but_idle_conns_survive() {
     let config = one_worker().with_read_deadline(Duration::from_millis(150));
     let gw = Gateway::bind(Some("127.0.0.1:0"), Some("127.0.0.1:0"), config)

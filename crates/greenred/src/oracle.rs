@@ -17,7 +17,7 @@ use crate::coloring::{Color, GreenRed};
 use crate::tq::greenred_tgds;
 use cqfd_cert::{convert, Certificate};
 use cqfd_chase::{ChaseBudget, ChaseEngine, ChaseHooks, ChaseOutcome, ChaseRun};
-use cqfd_core::{exists_homomorphism_with, find_homomorphism, Cq, Node, Signature, VarMap};
+use cqfd_core::{exists_homomorphism, find_homomorphism, Cq, Node, Signature, VarMap};
 use cqfd_obs::span;
 use std::sync::Arc;
 
@@ -181,19 +181,17 @@ impl DeterminacyOracle {
         let budget = budget.clone().presized_for(engine.termination());
         let run = {
             let _chase = span!("oracle.chase", max_stages = budget.max_stages);
-            // The per-stage monitor is the oracle's final hom check; route
-            // it through the budget's engine so `--hom-engine` covers it.
+            // The per-stage monitor is the oracle's final hom check.
             let monitor_fixed: VarMap = red_q0
                 .head_vars
                 .iter()
                 .copied()
                 .zip(tuple.iter().copied())
                 .collect();
-            let hom_engine = budget.hom_engine;
             engine.chase_with_hooks(
                 &start,
                 &budget,
-                |d, _stage| exists_homomorphism_with(hom_engine, &red_q0.body, d, &monitor_fixed),
+                |d, _stage| exists_homomorphism(&red_q0.body, d, &monitor_fixed),
                 hooks,
             )
         };
@@ -296,9 +294,8 @@ impl DeterminacyOracle {
             .copied()
             .zip(tuple.iter().copied())
             .collect();
-        let hom_engine = budget.hom_engine;
         let run = engine.chase_with_monitor(&start_structure, budget, |d, _stage| {
-            exists_homomorphism_with(hom_engine, &red_q0.body, d, &monitor_fixed)
+            exists_homomorphism(&red_q0.body, d, &monitor_fixed)
         });
         (run, tuple)
     }

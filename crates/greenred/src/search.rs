@@ -15,8 +15,9 @@
 
 use crate::coloring::GreenRed;
 use crate::oracle::DeterminacyOracle;
-use cqfd_core::{Cq, Node, Structure};
+use cqfd_core::{CancelToken, Cq, Node, Structure};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Outcome of verifying a candidate counter-example.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +75,27 @@ pub fn search_counterexample(
     q0: &Cq,
     max_nodes: usize,
 ) -> Option<(Structure, Vec<Node>)> {
+    search_counterexample_until(oracle, views, q0, max_nodes, &CancelToken::inert(), None)
+        .expect("an inert token with no deadline never stops the search")
+}
+
+/// The search was stopped — its cancel token fired or its deadline
+/// passed — before it found a counter-example or exhausted the node cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchStopped;
+
+/// [`search_counterexample`] with a cooperative stop: `cancel` and
+/// `deadline` are polled once per candidate structure, and either one
+/// ends the search with [`SearchStopped`]. The service runs the search
+/// this way so that `timeout-ms=` and a dropped connection bound it.
+pub fn search_counterexample_until(
+    oracle: &DeterminacyOracle,
+    views: &[Cq],
+    q0: &Cq,
+    max_nodes: usize,
+    cancel: &CancelToken,
+    deadline: Option<Instant>,
+) -> Result<Option<(Structure, Vec<Node>)>, SearchStopped> {
     let gr: &GreenRed = oracle.greenred();
     let sig = Arc::clone(gr.colored());
     let n_consts = sig.const_count();
@@ -110,10 +132,13 @@ pub fn search_counterexample(
             }
         }
         if slots.len() > 24 {
-            return None; // atom space too large for exhaustive search
+            return Ok(None); // atom space too large for exhaustive search
         }
         let total: u64 = 1u64 << slots.len();
         for mask in 1..total {
+            if cancel.is_cancelled() || deadline.is_some_and(|t| Instant::now() >= t) {
+                return Err(SearchStopped);
+            }
             let mut d = Structure::new(Arc::clone(&sig));
             // Constants first (deterministic ids), then plain nodes.
             for c in sig.constants() {
@@ -134,11 +159,11 @@ pub fn search_counterexample(
             };
             if oracle.satisfies_tq(views, &d) {
                 let witness = witness.clone();
-                return Some((d, witness));
+                return Ok(Some((d, witness)));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 #[cfg(test)]

@@ -197,12 +197,12 @@ mod tests {
         );
     }
 
-    /// Pins the exposition bytes of the wco hom-engine counter families
+    /// Pins the exposition bytes of the wco hom-search counter families
     /// (registered from `cqfd-core::hom::publish_hom_metrics`): family
     /// order is alphabetical and label-free samples render bare, so a
-    /// scrape diff across engines shows only the values.
+    /// scrape diff across runs shows only the values.
     #[test]
-    fn golden_wco_hom_engine_families() {
+    fn golden_wco_hom_search_families() {
         let reg = Registry::new();
         reg.counter(
             "cqfd_hom_intersection_steps_total",

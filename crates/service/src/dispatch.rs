@@ -20,7 +20,7 @@
 //!   project-select.
 //!
 //! The mode is **answer-relevant** — `auto` can turn an `unknown` or
-//! `no-counterexample` into a definite verdict — so unlike `hom=` it
+//! `no-counterexample` into a definite verdict — so unlike `threads=` it
 //! enters the canonical job hash (see `exec::job_key`).
 
 use cqfd_analysis::{classify, Classification, Fragment};

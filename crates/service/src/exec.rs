@@ -12,7 +12,8 @@ use cqfd_core::{
     CancelToken, Node, VarMap,
 };
 use cqfd_greenred::{
-    cq_rewriting, greenred_tgds, search_counterexample, Color, DeterminacyOracle, Verdict,
+    cq_rewriting, greenred_tgds, search_counterexample_until, Color, DeterminacyOracle,
+    SearchStopped, Verdict,
 };
 use cqfd_obs::{span, Stopwatch, Unit};
 use cqfd_rainworm::config::Config;
@@ -433,8 +434,7 @@ fn record_job_metrics(kind: &'static str, verdict: &'static str, clock: &Stopwat
 fn chase_budget(budget: &JobBudget, cancel: &CancelToken, thread_cap: usize) -> ChaseBudget {
     let mut b = ChaseBudget::stages(budget.max_stages)
         .with_cancel(cancel.clone())
-        .with_threads(budget.threads.min(thread_cap.max(1)))
-        .with_hom_engine(budget.hom_engine);
+        .with_threads(budget.threads.min(thread_cap.max(1)));
     if let Some(t) = budget.timeout {
         b = b.with_timeout(t);
     }
@@ -591,7 +591,6 @@ fn run_job(
                 cancel: cancel.clone(),
                 deadline: budget.timeout.map(|t| Instant::now() + t),
                 threads: budget.threads.max(1).min(thread_cap.max(1)),
-                hom_engine: budget.hom_engine,
                 ..cqfd_separating::theorem14::separating_budget(budget.max_stages)
             };
             let (_, run_di, di_pattern) = cqfd_separating::theorem14::chase_from_di_with(&chase);
@@ -623,6 +622,8 @@ fn run_job(
             q0,
             budget,
         } => {
+            // One deadline bounds the routed chase and the enumeration.
+            let deadline = budget.timeout.map(|t| Instant::now() + t);
             let oracle = DeterminacyOracle::new(sig.clone());
             let class = crate::dispatch::classify_for(&oracle, views, q0);
             metrics.fragment = Some(class.fragment.as_str());
@@ -637,6 +638,7 @@ fn run_job(
             if budget.dispatch.routes() && class.fragment.is_decidable() {
                 let mut chase = chase_budget(budget, cancel, thread_cap);
                 chase.max_stages = chase.max_stages.max(ChaseBudget::PRESIZED_STAGES);
+                chase.deadline = deadline;
                 let cr = oracle.certify_run(views, q0, &chase);
                 record_run(metrics, &cr.run);
                 if cr.run.outcome == ChaseOutcome::Cancelled {
@@ -669,8 +671,12 @@ fn run_job(
                 // would answer.
             }
             metrics.route = Some(Route::Semi.as_str());
-            match search_counterexample(&oracle, views, q0, budget.max_search_nodes) {
-                Some((d, witness)) => {
+            let max_nodes = budget.max_search_nodes;
+            match search_counterexample_until(&oracle, views, q0, max_nodes, cancel, deadline) {
+                Err(SearchStopped) => JobOutcome::BudgetExceeded {
+                    detail: stop_detail(cancel),
+                },
+                Ok(Some((d, witness))) => {
                     metrics.peak_atoms = metrics.peak_atoms.max(d.atom_count());
                     metrics.peak_nodes = metrics.peak_nodes.max(d.node_count());
                     if budget.emit_certificate || force_cert {
@@ -682,7 +688,7 @@ fn run_job(
                         atoms: d.atom_count(),
                     }
                 }
-                None => {
+                Ok(None) => {
                     if budget.emit_certificate || force_cert {
                         *certificate = emit_certificate(|| {
                             Some(Certificate::NonHomRefutation {
@@ -1306,6 +1312,28 @@ mod tests {
             };
             assert_eq!(run("auto"), run("semi"), "{inst}");
         }
+    }
+
+    #[test]
+    fn counterexample_search_honours_timeout_ms() {
+        // Unbounded, this enumeration runs for half a minute in release.
+        let job =
+            crate::parse_job("counterexample instance=mismatch:5x7 dispatch=semi timeout-ms=100")
+                .unwrap()
+                .unwrap();
+        let t0 = std::time::Instant::now();
+        let r = execute(1, &job, &CancelToken::new());
+        assert_eq!(
+            r.outcome,
+            JobOutcome::BudgetExceeded {
+                detail: "deadline".into()
+            }
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(1000),
+            "answered after {:?}, want < 10 × 100 ms",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Job descriptions: what to run, and under which budget.
 
 use crate::dispatch::Dispatch;
-use cqfd_core::{Cq, HomEngine, Signature};
+use cqfd_core::{Cq, Signature};
 use cqfd_rainworm::Delta;
 use std::time::Duration;
 
@@ -57,19 +57,12 @@ pub struct JobBudget {
     /// a no-op when no store is configured or the job kind has no
     /// resumable chase. Not part of the canonical job hash.
     pub resume: bool,
-    /// Homomorphism search engine for chase-based jobs (wire `hom=`, CLI
-    /// `--hom-engine`). Defaults to the worst-case-optimal engine; `legacy`
-    /// selects the backtracking [`HomPlan`](cqfd_core::HomPlan) for
-    /// differential testing. Both engines produce byte-identical results,
-    /// so this is not part of the canonical job hash — it controls how the
-    /// job computes, not what.
-    pub hom_engine: HomEngine,
     /// Fragment-dispatch mode for determinacy-shaped jobs (wire
     /// `dispatch=`, CLI `--dispatch`). `auto` (the default) routes
     /// decidable fragments to complete procedures; `semi` pins the plain
     /// semi-decision pipeline; `forced:A3xx` asserts the classification.
     /// **Answer-relevant** — `auto` can upgrade `unknown` outcomes to
-    /// definite verdicts — so unlike `hom_engine` this *is* part of the
+    /// definite verdicts — so unlike `threads` this *is* part of the
     /// canonical job hash.
     pub dispatch: Dispatch,
 }
@@ -87,7 +80,6 @@ impl Default for JobBudget {
             emit_lint: false,
             use_cache: true,
             resume: false,
-            hom_engine: HomEngine::default(),
             dispatch: Dispatch::default(),
         }
     }
@@ -151,12 +143,6 @@ impl JobBudget {
     /// Enables the write-ahead stage log (and resume from it).
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// Selects the homomorphism search engine for chase-based jobs.
-    pub fn with_hom_engine(mut self, hom_engine: HomEngine) -> Self {
-        self.hom_engine = hom_engine;
         self
     }
 

@@ -131,7 +131,8 @@ pub struct JobHandle {
 impl JobHandle {
     /// Requests cooperative cancellation. If the job is still queued it
     /// returns immediately as budget-exceeded when a worker picks it up;
-    /// if it is running, the chase/creep loop stops at the next poll.
+    /// if it is running, the chase, creep or counter-example search loop
+    /// stops at the next poll.
     pub fn cancel(&self) {
         self.cancel.cancel();
     }
@@ -539,6 +540,32 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(count.load(Ordering::SeqCst), 3, "one hook call per job");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn cancelling_a_running_counterexample_search_stops_it() {
+        // Unbounded, this enumeration runs for half a minute in release.
+        let job = crate::parse_job("counterexample instance=mismatch:5x7 dispatch=semi")
+            .unwrap()
+            .unwrap();
+        let pool = Pool::new(PoolConfig::default().with_workers(1));
+        let handle = pool.submit(job).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let cancelled_at = std::time::Instant::now();
+        handle.cancel();
+        let r = wait_bounded(handle);
+        assert_eq!(
+            r.outcome,
+            JobOutcome::BudgetExceeded {
+                detail: "cancelled".into()
+            }
+        );
+        assert!(
+            cancelled_at.elapsed() < std::time::Duration::from_secs(1),
+            "stopped {:?} after the cancel",
+            cancelled_at.elapsed()
+        );
         pool.shutdown();
     }
 

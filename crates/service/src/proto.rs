@@ -19,7 +19,7 @@
 //! [`JobResult`](crate::JobResult)'s `Display` impl.
 
 use crate::job::{Job, JobBudget};
-use cqfd_core::{Cq, HomEngine, Signature};
+use cqfd_core::{Cq, Signature};
 use cqfd_greenred::instances;
 use cqfd_rainworm::encode::tm_to_rainworm;
 use cqfd_rainworm::families::{counter_worm, forever_worm, halting_worm_short};
@@ -167,17 +167,6 @@ impl Fields {
         }
     }
 
-    /// The `hom=` key: the homomorphism search engine for chase-based
-    /// jobs. Absent means the default (worst-case-optimal) engine.
-    fn hom_engine(&self) -> Result<HomEngine, String> {
-        match self.get("hom") {
-            None => Ok(HomEngine::default()),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad hom=`{v}` (want legacy | wco)")),
-        }
-    }
-
     /// The `dispatch=` key: the fragment-dispatch mode for
     /// determinacy-shaped jobs. Absent means the default (`auto`).
     fn dispatch(&self) -> Result<crate::dispatch::Dispatch, String> {
@@ -195,7 +184,8 @@ impl Fields {
     }
 
     /// The common budget keys: `stages=`, `steps=`, `nodes=`, `timeout-ms=`,
-    /// `cert=`, `trace=`, `lint=`, `threads=`, `cache=`, `resume=`, `hom=`.
+    /// `cert=`, `trace=`, `lint=`, `threads=`, `cache=`, `resume=`,
+    /// `dispatch=`.
     fn budget(&self) -> Result<JobBudget, String> {
         let d = JobBudget::default();
         let timeout = match self.get("timeout-ms") {
@@ -218,7 +208,6 @@ impl Fields {
             emit_lint: self.lint_flag()?,
             use_cache: self.cache_flag()?,
             resume: self.resume_flag()?,
-            hom_engine: self.hom_engine()?,
             dispatch: self.dispatch()?,
         })
     }
@@ -497,7 +486,6 @@ fn parse_job_tokens(tokens: Vec<String>) -> Result<Option<Job>, String> {
                 "threads",
                 "cache",
                 "resume",
-                "hom",
                 "dispatch",
             ])?;
             let (sig, views, q0) = parse_cq_inputs(&f)?;
@@ -533,7 +521,7 @@ fn parse_job_tokens(tokens: Vec<String>) -> Result<Option<Job>, String> {
             }
         }
         "separate" => {
-            f.check_keys(&["stages", "cert", "trace", "lint", "threads", "cache", "hom"])?;
+            f.check_keys(&["stages", "cert", "trace", "lint", "threads", "cache"])?;
             // The lasso chase needs ~80 stages to exhibit the 1-2 pattern,
             // so `separate` defaults higher than the generic budget.
             Job::Separate {
@@ -543,13 +531,21 @@ fn parse_job_tokens(tokens: Vec<String>) -> Result<Option<Job>, String> {
                     .with_trace(f.trace_flag()?)
                     .with_lint(f.lint_flag()?)
                     .with_threads(f.threads()?)
-                    .with_cache(f.cache_flag()?)
-                    .with_hom_engine(f.hom_engine()?),
+                    .with_cache(f.cache_flag()?),
             }
         }
         "counterexample" => {
             f.check_keys(&[
-                "sig", "view", "query", "instance", "nodes", "cert", "trace", "lint", "cache",
+                "sig",
+                "view",
+                "query",
+                "instance",
+                "nodes",
+                "timeout-ms",
+                "cert",
+                "trace",
+                "lint",
+                "cache",
                 "dispatch",
             ])?;
             let (sig, views, q0) = parse_cq_inputs(&f)?;
@@ -808,30 +804,17 @@ mod tests {
     }
 
     #[test]
-    fn hom_key_parses_where_chasing_happens() {
-        match parse_job("determine instance=projection hom=legacy")
-            .unwrap()
-            .unwrap()
-        {
-            Job::Determine { budget, .. } => assert_eq!(budget.hom_engine, HomEngine::Legacy),
-            other => panic!("wrong kind: {other:?}"),
+    fn hom_key_is_unknown_on_every_kind() {
+        // The chase has one hom engine; the old engine switch is rejected
+        // like any other key the kind does not take.
+        for line in [
+            "determine instance=projection hom=legacy",
+            "separate stages=60 hom=wco",
+            "creep worm=short hom=legacy",
+        ] {
+            let err = parse_job(line).unwrap_err();
+            assert!(err.contains("unknown key `hom`"), "{line}: {err}");
         }
-        match parse_job("separate stages=60 hom=wco").unwrap().unwrap() {
-            Job::Separate { budget } => assert_eq!(budget.hom_engine, HomEngine::Wco),
-            other => panic!("wrong kind: {other:?}"),
-        }
-        // Absent means the default engine.
-        match parse_job("determine instance=projection").unwrap().unwrap() {
-            Job::Determine { budget, .. } => {
-                assert_eq!(budget.hom_engine, HomEngine::default());
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        let err = parse_job("determine instance=projection hom=quantum").unwrap_err();
-        assert!(err.contains("hom=`quantum`"), "{err}");
-        assert!(err.contains("legacy | wco"), "{err}");
-        // Creep never chases, so it rejects the key outright.
-        assert!(parse_job("creep worm=short hom=legacy").is_err());
     }
 
     #[test]

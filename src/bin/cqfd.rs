@@ -12,7 +12,7 @@
 
 use cqfd::chase::ChaseBudget;
 use cqfd::core::CancelToken;
-use cqfd::core::{Cq, HomEngine, Signature};
+use cqfd::core::{Cq, Signature};
 use cqfd::greenred::{cq_rewriting, search_counterexample, DeterminacyOracle, Verdict};
 use cqfd::rainworm::run::{creep, trace, CreepOutcome};
 use cqfd::rainworm::Delta;
@@ -66,14 +66,12 @@ const USAGE: &str = "cqfd — conjunctive-query determinacy toolbox
 USAGE:
   cqfd determine --sig <P/k,...> --view <CQ> [--view <CQ> ...] --query <CQ>
                  [--stages <n>] [--search-nodes <n>] [--threads <n>]
-                 [--store <dir>] [--hom-engine <legacy|wco>]
-                 [--dispatch <semi|auto|forced:A3xx>]
+                 [--store <dir>] [--dispatch <semi|auto|forced:A3xx>]
   cqfd rewrite   --sig <P/k,...> --view <CQ> ... --query <CQ>
   cqfd creep     --worm <forever|short|counter:M|tm-walker:K|tm-zigzag:K|file:PATH>
                  [--steps <n>] [--trace <n>]  [--emit]
   cqfd reduce    --worm <...>
   cqfd separate  [--stages <n>] [--threads <n>] [--store <dir>]
-                 [--hom-engine <legacy|wco>]
   cqfd lint      <rules-file | theorem14 | worm:SPEC | JOB-LINE> [--json]
                  (static analysis: chase-termination verdict, safety and
                   signature diagnostics; nonzero exit on error diagnostics.
@@ -85,8 +83,7 @@ USAGE:
                  [--out <file>]   (emit a machine-checkable certificate)
   cqfd check     <file>           (validate a certificate; nonzero on reject)
   cqfd batch     <jobs-file> [--workers <n>] [--queue <n>] [--threads <n>]
-                 [--store <dir>] [--hom-engine <legacy|wco>]
-                 [--dispatch <semi|auto|forced:A3xx>]
+                 [--store <dir>] [--dispatch <semi|auto|forced:A3xx>]
   cqfd serve     [--listen <addr>] [--http-listen <addr>] [--workers <n>]
                  [--queue <n>] [--store <dir>] [--lane-cap <n>]
                  [--tenant-quota <tenant:rate:burst> ...]
@@ -116,11 +113,9 @@ USAGE:
                   the objects fit the byte budget)
 
 `--threads <n>` fans chase enumeration out over n worker threads; output
-is byte-identical at every setting (see README, Performance).
-`--hom-engine <legacy|wco>` picks the homomorphism search engine: `wco`
-(the default) runs the worst-case-optimal enumerator over the columnar
-indexes, `legacy` the backtracking planner; both produce byte-identical
-verdicts and certificates (see README, Performance).
+is byte-identical at every setting (see README, Performance). The chase
+enumerates triggers with one engine, the worst-case-optimal join over the
+columnar indexes; there is no engine flag.
 `--dispatch <mode>` picks the fragment-dispatch mode for determinacy
 jobs: `auto` (the default) classifies the rule set and routes decidable
 fragments — project-select views (A300), weakly acyclic sets (A301),
@@ -210,18 +205,6 @@ fn threads_flag(args: &[String]) -> Result<usize, String> {
     }
 }
 
-/// The `--hom-engine` flag: the homomorphism search engine for chase
-/// work (default: the worst-case-optimal engine; `legacy` selects the
-/// backtracking planner for differential testing).
-fn hom_engine_flag(args: &[String]) -> Result<HomEngine, String> {
-    match flag(args, "--hom-engine") {
-        None => Ok(HomEngine::default()),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --hom-engine `{v}` (want legacy | wco)")),
-    }
-}
-
 /// The `--dispatch` flag: the fragment-dispatch mode for determinacy
 /// jobs — `None` when absent (the job's own default applies).
 fn dispatch_flag(args: &[String]) -> Result<Option<Dispatch>, String> {
@@ -274,7 +257,6 @@ fn determine(args: &[String], rewriting_mode: bool) -> Result<(), String> {
             "--search-nodes",
             "--threads",
             "--store",
-            "--hom-engine",
             "--dispatch",
         ],
     )?;
@@ -315,7 +297,6 @@ fn determine(args: &[String], rewriting_mode: bool) -> Result<(), String> {
         s.parse().map_err(|_| "bad --search-nodes".to_string())
     })?;
     let threads = threads_flag(args)?;
-    let hom_engine = hom_engine_flag(args)?;
     let dispatch = dispatch_flag(args)?;
     let store = open_store(args)?;
     if store.is_some() || dispatch.is_some() {
@@ -332,7 +313,6 @@ fn determine(args: &[String], rewriting_mode: bool) -> Result<(), String> {
                 .with_stages(stages)
                 .with_search_nodes(search_nodes)
                 .with_threads(threads)
-                .with_hom_engine(hom_engine)
                 .with_dispatch(dispatch.unwrap_or_default()),
         };
         let result = execute_stored(0, &job, &CancelToken::new(), threads, store.as_ref(), true);
@@ -343,9 +323,7 @@ fn determine(args: &[String], rewriting_mode: bool) -> Result<(), String> {
     let cr = oracle.certify_run(
         &views,
         &q0,
-        &ChaseBudget::stages(stages)
-            .with_threads(threads)
-            .with_hom_engine(hom_engine),
+        &ChaseBudget::stages(stages).with_threads(threads),
     );
     let run = &cr.run;
     match cr.verdict {
@@ -456,7 +434,7 @@ fn reduce_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn separate_cmd(args: &[String]) -> Result<(), String> {
-    check_flags(args, &["--stages", "--threads", "--store", "--hom-engine"])?;
+    check_flags(args, &["--stages", "--threads", "--store"])?;
     use cqfd::separating::theorem14::{
         chase_from_di_with, chase_from_lasso_with, separating_budget,
     };
@@ -464,34 +442,24 @@ fn separate_cmd(args: &[String]) -> Result<(), String> {
         s.parse().map_err(|_| "bad --stages".to_string())
     })?;
     let threads = threads_flag(args)?;
-    let hom_engine = hom_engine_flag(args)?;
     if let Some(store) = open_store(args)? {
         let job = Job::Separate {
             budget: JobBudget::default()
                 .with_stages(stages)
-                .with_threads(threads)
-                .with_hom_engine(hom_engine),
+                .with_threads(threads),
         };
         let result = execute_stored(0, &job, &CancelToken::new(), threads, Some(&store), true);
         println!("{}", result.render_protocol());
         return Ok(());
     }
-    let (_, run, found) = chase_from_di_with(
-        &separating_budget(stages.min(10))
-            .with_threads(threads)
-            .with_hom_engine(hom_engine),
-    );
+    let (_, run, found) =
+        chase_from_di_with(&separating_budget(stages.min(10)).with_threads(threads));
     println!(
         "chase(T, DI): {} stages, 1-2 pattern: {found}",
         run.stage_count()
     );
-    let (_, run, found) = chase_from_lasso_with(
-        3,
-        1,
-        &separating_budget(stages)
-            .with_threads(threads)
-            .with_hom_engine(hom_engine),
-    );
+    let (_, run, found) =
+        chase_from_lasso_with(3, 1, &separating_budget(stages).with_threads(threads));
     println!(
         "chase(T, lasso(3,1)): 1-2 pattern: {found} after {} stages",
         run.stage_count()
@@ -699,14 +667,7 @@ fn pool_config(args: &[String]) -> Result<PoolConfig, String> {
 fn batch_cmd(args: &[String]) -> Result<(), String> {
     check_flags(
         args,
-        &[
-            "--workers",
-            "--queue",
-            "--threads",
-            "--store",
-            "--hom-engine",
-            "--dispatch",
-        ],
+        &["--workers", "--queue", "--threads", "--store", "--dispatch"],
     )?;
     let pos = positionals(args);
     let [path] = pos.as_slice() else {
@@ -725,17 +686,6 @@ fn batch_cmd(args: &[String]) -> Result<(), String> {
         for j in &mut jobs {
             if let Some(b) = j.budget_mut() {
                 b.threads = threads;
-            }
-        }
-    }
-    // `--hom-engine` likewise overrides per-line `hom=` keys, so a whole
-    // jobs file can be re-run under the other engine for differential
-    // testing without editing it.
-    if flag(args, "--hom-engine").is_some() {
-        let hom_engine = hom_engine_flag(args)?;
-        for j in &mut jobs {
-            if let Some(b) = j.budget_mut() {
-                b.hom_engine = hom_engine;
             }
         }
     }

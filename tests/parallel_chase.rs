@@ -92,6 +92,29 @@ fn rainworm_chases_are_thread_count_invariant() {
     }
 }
 
+/// The fig3 lasso chases, run to the 1-2 pattern under the separating
+/// budget `separate` uses: same structure, stage count, trigger count and
+/// pattern verdict at every thread count.
+#[test]
+fn lasso_chases_to_the_pattern_are_thread_count_invariant() {
+    use cqfd::separating::theorem14::chase_from_lasso_with;
+    for (n, p) in [(3, 1), (4, 2), (5, 3)] {
+        let digest = |threads: usize| {
+            let (out, run, found) =
+                chase_from_lasso_with(n, p, &separating_budget(60).with_threads(threads));
+            assert!(found, "lasso({n},{p}) reaches the 1-2 pattern");
+            (
+                out.structure().to_string(),
+                run.stage_count(),
+                run.triggers_fired(),
+            )
+        };
+        let baseline = digest(1);
+        assert_eq!(baseline, digest(2), "lasso({n},{p}) @2t");
+        assert_eq!(baseline, digest(4), "lasso({n},{p}) @4t");
+    }
+}
+
 // Every thread count gives the single-threaded run, and that run is the
 // paper's naive stage loop byte for byte: the delta-driven stages apply
 // the same triggers in the same order.
@@ -126,7 +149,10 @@ fn oracle_certificates_are_thread_count_invariant() {
     use cqfd::greenred::{instances, DeterminacyOracle};
     for inst in [
         instances::projection_instance(),
+        instances::composed_path_instance(1, 3),
+        instances::composed_path_instance(2, 2),
         instances::composed_path_instance(2, 3),
+        instances::mismatched_path_instance(2, 1),
         instances::mismatched_path_instance(2, 3),
     ] {
         let oracle = DeterminacyOracle::new(inst.sig.clone());
